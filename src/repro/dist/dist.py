@@ -46,8 +46,6 @@ would double-count it.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
 from repro.core.resilient import AttemptRecord, ResilienceReport
 from repro.dist.interconnect import Interconnect, parse_interconnect
@@ -60,20 +58,12 @@ from repro.gpu.timeline import PHASES, KernelRecord, SimReport
 from repro.obs import events as OBS
 from repro.obs.events import Event
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.product import array_digest
 from repro.types import Precision
 
 #: Wall time of the control-plane round that notices a dead device
 #: (heartbeat timeout at interconnect scale, not a tuned figure).
 LOSS_DETECT_SECONDS = 25e-6
-
-
-def _digest(*arrays) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for a in arrays:
-        h.update(str(a.dtype).encode())
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
 
 
 class _CommEscalation(Exception):
@@ -394,8 +384,8 @@ class DistSpGEMM(SpGEMMAlgorithm):
         broadcast succeeded -- a failed round must not leave the driver
         believing B is resident.
         """
-        pattern = _digest(B.rpt, B.col) + f":{B.shape}"
-        values = _digest(B.val)
+        pattern = array_digest(B.rpt, B.col) + f":{B.shape}"
+        values = array_digest(B.val)
         cached = False
         if not self.broadcast_cache or self._resident_b is None:
             nbytes = B.device_bytes(p)

@@ -8,18 +8,16 @@ plan evicts least-recently-used plans until the new total fits.  Plans
 larger than the whole budget are never stored (the multiply still runs,
 it just stays cold).
 
-The cache is thread-safe: :meth:`PlanCache.lookup` and
-:meth:`PlanCache.store` take an internal lock so the engine's batched
-worker pool can share one cache.
+The cache is a :class:`~repro.perf.Memo` weighted by device bytes, so
+it is thread-safe and the engine's batched worker pool can share one.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.plan import PlanKey, SpGEMMPlan
+from repro.perf import Memo, MemoStats
 
 #: Default budget: 256 MiB of simulated device memory, a small slice of
 #: the P100's 16 GiB -- enough for the benchmark suite's working set.
@@ -27,24 +25,10 @@ DEFAULT_BUDGET_BYTES = 256 << 20
 
 
 @dataclass
-class CacheStats:
-    """Monotone counters of one cache's traffic."""
+class CacheStats(MemoStats):
+    """Monotone counters of one plan cache's traffic."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    uncacheable: int = 0         #: plans larger than the whole budget
     saved_seconds: float = 0.0   #: symbolic+setup time amortized by hits
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups served."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits per lookup (0.0 before any traffic)."""
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 @dataclass
@@ -57,51 +41,33 @@ class Eviction:
     reason: str = "budget"
 
 
-class PlanCache:
-    """Pattern-keyed LRU store of :class:`SpGEMMPlan` under a byte budget."""
+class PlanCache(Memo[PlanKey, SpGEMMPlan]):
+    """Pattern-keyed LRU store of :class:`SpGEMMPlan` under a byte budget:
+    a :class:`~repro.perf.Memo` weighing each plan by its device bytes."""
+
+    stats: CacheStats
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> None:
-        if budget_bytes <= 0:
-            raise ValueError(f"cache budget must be positive, "
-                             f"got {budget_bytes}")
-        self.budget_bytes = int(budget_bytes)
-        self._plans: OrderedDict[PlanKey, SpGEMMPlan] = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
+        super().__init__(budget_bytes, lambda plan: plan.device_bytes())
         self.stats = CacheStats()
 
-    # -- introspection -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def __contains__(self, key: PlanKey) -> bool:
-        with self._lock:
-            return key in self._plans
+    @property
+    def budget_bytes(self) -> int:
+        """The configured device-memory budget."""
+        return self.budget
 
     @property
     def bytes_in_use(self) -> int:
         """Device bytes held by the cached plans."""
-        return self._bytes
-
-    def keys(self) -> list[PlanKey]:
-        """Cached keys, least-recently-used first."""
-        with self._lock:
-            return list(self._plans)
-
-    # -- traffic -----------------------------------------------------------
+        return self.weight
 
     def lookup(self, key: PlanKey) -> SpGEMMPlan | None:
         """Return the plan for ``key`` (refreshing its LRU slot) or None."""
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                self.stats.misses += 1
-                return None
-            self._plans.move_to_end(key)
-            self.stats.hits += 1
-            self.stats.saved_seconds += plan.symbolic_seconds
-            return plan
+        plan = self.get(key)
+        if plan is not None:
+            with self.lock:
+                self.stats.saved_seconds += plan.symbolic_seconds
+        return plan
 
     def store(self, key: PlanKey, plan: SpGEMMPlan) -> list[Eviction]:
         """Insert ``plan``, evicting LRU entries until the budget holds.
@@ -109,45 +75,14 @@ class PlanCache:
         Returns the evictions performed (possibly empty).  A plan larger
         than the entire budget is not stored at all.
         """
-        nbytes = plan.device_bytes()
-        evicted: list[Eviction] = []
-        with self._lock:
-            if nbytes > self.budget_bytes:
-                self.stats.uncacheable += 1
-                return evicted
-            old = self._plans.pop(key, None)
-            if old is not None:
-                self._bytes -= old.device_bytes()
-            while self._plans and self._bytes + nbytes > self.budget_bytes:
-                k, p = self._plans.popitem(last=False)
-                self._bytes -= p.device_bytes()
-                self.stats.evictions += 1
-                evicted.append(Eviction(key=k, plan=p))
-            self._plans[key] = plan
-            self._bytes += nbytes
-        return evicted
+        return [Eviction(key=k, plan=p) for k, p in self.put(key, plan)]
 
     def retract_hit(self, key: PlanKey, plan: SpGEMMPlan) -> None:
         """Reclassify a served hit as a miss (stale-plan fallback): the
         engine discards the entry and corrects the traffic counters so
         the hit rate reflects multiplies actually amortized."""
-        with self._lock:
+        with self.lock:
             self.stats.hits -= 1
             self.stats.misses += 1
             self.stats.saved_seconds -= plan.symbolic_seconds
-            stored = self._plans.pop(key, None)
-            if stored is not None:
-                self._bytes -= stored.device_bytes()
-
-    def discard(self, key: PlanKey) -> None:
-        """Drop one entry if present (stale-plan recovery path)."""
-        with self._lock:
-            plan = self._plans.pop(key, None)
-            if plan is not None:
-                self._bytes -= plan.device_bytes()
-
-    def clear(self) -> None:
-        """Drop every cached plan (budget reconfiguration, tests)."""
-        with self._lock:
-            self._plans.clear()
-            self._bytes = 0
+        self.discard(key)

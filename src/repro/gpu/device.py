@@ -10,7 +10,8 @@ per field) and all algorithms see the same ones, so comparisons are fair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 
 from repro.errors import DeviceConfigError
 
@@ -62,6 +63,12 @@ class DeviceSpec:
         if self.warp_size <= 0 or self.max_threads_per_block % self.warp_size:
             raise DeviceConfigError(
                 f"{self.name}: max_threads_per_block must be a warp multiple")
+
+    @cached_property
+    def key_bytes(self) -> bytes:
+        """Every field, serialized once: the device part of cache keys
+        (a modified preset keeps its name, so the name is not enough)."""
+        return repr(astuple(self)).encode()
 
     # --- derived rates --------------------------------------------------------
 

@@ -41,30 +41,8 @@ MAX_EVENTS = 20_000_000
 #: kernel sets at identical clock offsets every iteration; the memo turns
 #: those repeats into a dict lookup.  256 entries cover the bench suites'
 #: working sets with room to spare (each entry is a handful of records).
-_MEMO_CAPACITY = 256
-
-_memo: dict[bytes, tuple[float, tuple[KernelRecord, ...]]] = {}
-
-#: Per-DeviceSpec key bytes, cached by identity (the spec is frozen-by-
-#: convention; the strong reference keeps the id valid while cached).
-_device_keys: dict[int, tuple[DeviceSpec, bytes]] = {}
-
-
-@perf.register_cache_clearer
-def clear_phase_memo() -> None:
-    """Drop every memoized phase schedule (tests, wall-clock harness)."""
-    _memo.clear()
-    _device_keys.clear()
-
-
-def _device_key(device: DeviceSpec) -> bytes:
-    entry = _device_keys.get(id(device))
-    if entry is None or entry[0] is not device:
-        entry = (device, repr(dataclasses.astuple(device)).encode())
-        if len(_device_keys) >= 64:
-            _device_keys.pop(next(iter(_device_keys)))
-        _device_keys[id(device)] = entry
-    return entry[1]
+_memo: perf.Memo[bytes, tuple[float, tuple[KernelRecord, ...]]] = perf.Memo(
+    256, process_wide=True)
 
 
 def _phase_key(kernels: list[KernelLaunch], device: DeviceSpec,
@@ -80,7 +58,7 @@ def _phase_key(kernels: list[KernelLaunch], device: DeviceSpec,
     block durations.
     """
     h = hashlib.blake2b(digest_size=16)
-    h.update(_device_key(device))
+    h.update(device.key_bytes)
     h.update(precision.value.encode())
     h.update(b"s" if use_streams else b"n")
     h.update(np.float64(start_time).tobytes())
@@ -300,7 +278,5 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
         ))
     end = max(r.end for r in records)
     if key is not None:
-        if len(_memo) >= _MEMO_CAPACITY:
-            _memo.pop(next(iter(_memo)))
-        _memo[key] = (end, tuple(dataclasses.replace(r) for r in records))
+        _memo.put(key, (end, tuple(dataclasses.replace(r) for r in records)))
     return PhaseSchedule(start=start_time, end=end, records=records)

@@ -37,7 +37,6 @@ runs, never *what* it computes.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 import time
@@ -59,6 +58,7 @@ from repro.serve.breaker import STATE_VALUES, CircuitBreaker
 from repro.serve.policy import ServePolicy
 from repro.serve.queue import WeightedFairQueue
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.product import array_digest
 from repro.types import Precision
 
 #: How often a blocked worker re-checks deadlines with no queue activity.
@@ -94,13 +94,8 @@ def estimate_job_bytes(A: CSRMatrix, B: CSRMatrix,
 
 def _digest_job(A: CSRMatrix, B: CSRMatrix, options: SpGEMMOptions) -> str:
     """Coalescing key: operand digests + the options' execution token."""
-    h = hashlib.blake2b(digest_size=16)
-    for a in (A.rpt, A.col, A.val, B.rpt, B.col, B.val):
-        h.update(str(a.dtype).encode())
-        h.update(a.tobytes())
-    h.update(f"{A.shape}{B.shape}".encode())
-    h.update(options.coalesce_token().encode())
-    return h.hexdigest()
+    return (array_digest(A.rpt, A.col, A.val, B.rpt, B.col, B.val)
+            + f"{A.shape}{B.shape}{options.coalesce_token()}")
 
 
 class ServedJob:
@@ -502,6 +497,7 @@ class SpGEMMServer:
             self._running -= 1
             self._in_flight_bytes -= job.admit_estimate
         job.status = status
+        job._payload = None            # finished jobs must not pin operands
         job.finished_at = self._now()
         job.outcome = {COMPLETED: "completed", FAILED: "failed",
                        TIMED_OUT: "timed_out"}[status]

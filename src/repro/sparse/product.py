@@ -35,18 +35,14 @@ from repro.sparse.expansion import (SortRecipe, build_sort_recipe, contract,
                                     expand_products, values_from_recipe)
 from repro.types import Precision
 
-#: Maximum retained operand pairs (strong references).  Sized to hold the
+#: Retained operand pairs (strong references).  Sized to hold the
 #: benchmark suite's working set so figure benchmarks do not recompute the
 #: functional product for every algorithm.
-_CACHE_CAPACITY = 16
-
-_cache: dict[tuple, "ProductResult"] = {}
+_cache: perf.Memo[tuple, "ProductResult"] = perf.Memo(16, process_wide=True)
 
 #: Retained sort recipes (pattern-keyed).  An iterative workload touches
 #: one or two patterns at a time; the MCL legs cycle a few more.
-_RECIPE_CAPACITY = 8
-
-_recipes: dict[str, SortRecipe] = {}
+_recipes: perf.Memo[str, SortRecipe] = perf.Memo(8, process_wide=True)
 
 
 class ProductResult(NamedTuple):
@@ -67,18 +63,19 @@ class ProductResult(NamedTuple):
         return self.C.row_nnz()
 
 
-def _val_tag(val: np.ndarray) -> bytes:
-    """Content fingerprint of a value array (dtype + bytes).
+def array_digest(*arrays: np.ndarray) -> str:
+    """BLAKE2b digest of array contents: dtype, shape and bytes of each.
 
-    Identity alone is not enough: iterative workloads update values in
-    place or rebuild the value array on a shared structure (same
-    rpt/col objects), and an ``id()``-only key would replay the previous
-    iterate's product.  Hashing is O(nnz) -- noise next to the O(products)
-    expansion it guards."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(val.dtype).encode())
-    h.update(np.ascontiguousarray(val).tobytes())
-    return h.digest()
+    The cache key of operand *values*: identity alone is not enough,
+    because iterative workloads update values in place or rebuild the
+    value array on a shared structure.  Hashing is O(nnz) -- noise next
+    to the O(products) expansion it guards."""
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        h.update(str(a.dtype).encode())
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def _key(A: CSRMatrix, B: CSRMatrix) -> tuple:
@@ -88,8 +85,8 @@ def _key(A: CSRMatrix, B: CSRMatrix) -> tuple:
     pattern) hit; value-only updates on a shared structure miss the
     full-result cache (and land on the recipe cache), keeping the
     functional layer exact."""
-    a_tag = _val_tag(A.val)
-    b_tag = a_tag if B.val is A.val else _val_tag(B.val)
+    a_tag = array_digest(A.val)
+    b_tag = a_tag if B.val is A.val else array_digest(B.val)
     return (id(A.rpt), id(A.col), a_tag,
             id(B.rpt), id(B.col), b_tag)
 
@@ -121,13 +118,10 @@ def recipe_for(A: CSRMatrix, B: CSRMatrix) -> SortRecipe:
     be treated as read-only (as the CSR structure arrays already are).
     """
     digest = pattern_digest(A, B)
-    hit = _recipes.get(digest)
-    if hit is not None:
-        return hit
-    recipe = build_sort_recipe(A, B)
-    if len(_recipes) >= _RECIPE_CAPACITY:
-        _recipes.pop(next(iter(_recipes)))
-    _recipes[digest] = recipe
+    recipe = _recipes.get(digest)
+    if recipe is None:
+        recipe = build_sort_recipe(A, B)
+        _recipes.put(digest, recipe)
     return recipe
 
 
@@ -150,9 +144,7 @@ def compute_product(A: CSRMatrix, B: CSRMatrix) -> ProductResult:
         row_counts = recipe.row_counts
     result = ProductResult(anchors=(A.rpt, A.col, B.rpt, B.col),
                            row_products=row_counts.astype(np.int64), C=C)
-    if len(_cache) >= _CACHE_CAPACITY:
-        _cache.pop(next(iter(_cache)))
-    _cache[key] = result
+    _cache.put(key, result)
     return result
 
 
@@ -163,11 +155,3 @@ def product_for(A: CSRMatrix, B: CSRMatrix,
     C = CSRMatrix(r.C.rpt, r.C.col, r.C.val.astype(precision.value_dtype),
                   r.C.shape, check=False)
     return r.row_products, C
-
-
-@perf.register_cache_clearer
-def clear_cache() -> None:
-    """Drop all cached products and recipes (tests and memory-sensitive
-    callers)."""
-    _cache.clear()
-    _recipes.clear()

@@ -12,6 +12,7 @@ rejected + timed_out + failed`` holds exactly.
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -189,6 +190,32 @@ class TestServerBasics:
         reg = srv.metrics()
         assert reg.total("serve_coalesced_total") == len(followers)
         check_serve_conservation(reg)
+
+    def test_finished_jobs_release_operands(self):
+        """``server.jobs`` keeps every job, so a finished one must drop its
+        operands; a coalesced follower still gets its leader's result."""
+        A, other = mats(seed=1), mats(seed=2)
+        ref = multiply(A, A)
+        gate = threading.Event()
+        with SpGEMMServer(n_workers=1, sleep=lambda s: gate.wait(5)) as srv:
+            solo = srv.submit(A, A, tenant="t")
+            srv.drain()
+            # an injected OOM parks the only worker in its retry back-off,
+            # so the pair queues behind it and the second job coalesces
+            busy = srv.submit(other, other, tenant="t",
+                              faults=FaultPlan().fail_alloc(index=0))
+            leader = srv.submit(A, A, tenant="t")
+            follower = srv.submit(A, A, tenant="t")
+            gate.set()
+            srv.drain()
+        assert busy.attempts >= 2
+        assert follower.coalesced_with == leader.job_id
+        for job in (solo, busy, leader, follower):
+            assert job.outcome == "completed"
+            assert job._payload is None
+        assert_same(solo.result(), ref)
+        assert_same(follower.result(), ref)
+        assert follower.result() is leader.result()
 
     def test_distinct_values_do_not_coalesce(self):
         A, B = mats(seed=1), mats(seed=2)

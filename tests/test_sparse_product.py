@@ -2,17 +2,17 @@
 
 import numpy as np
 
+from repro import perf
 from repro.sparse import generators
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.product import (clear_cache, compute_product, product_for,
-                                  _cache)
+from repro.sparse.product import _cache, compute_product, product_for
 from repro.sparse.stats import compute_stats
 from repro.types import Precision
 
 
 class TestProductCache:
     def setup_method(self):
-        clear_cache()
+        perf.clear_fast_caches()
 
     def test_same_object_hits(self, rng):
         A = generators.banded(60, 5, rng=rng)
