@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 
 import numpy as np
@@ -63,6 +64,10 @@ from repro.types import Precision
 
 #: How often a blocked worker re-checks deadlines with no queue activity.
 _WAIT_POLL_S = 0.02
+
+#: Submitted jobs :attr:`SpGEMMServer.jobs` keeps, newest last: a finished
+#: job holds its result, so a long-running server keeps a bounded tail.
+JOB_HISTORY = 64
 
 # job lifecycle states (``ServedJob.status``)
 QUEUED = "queued"
@@ -206,7 +211,8 @@ class SpGEMMServer:
         self._running = 0
         self._stopping = False
         self._job_ids = itertools.count(1)
-        self.jobs: list[ServedJob] = []   #: every accepted job, in order
+        #: the last :data:`JOB_HISTORY` submitted jobs, in order
+        self.jobs: deque[ServedJob] = deque(maxlen=JOB_HISTORY)
 
         self._workers = [
             threading.Thread(target=self._worker_loop, name=f"serve-w{i}",

@@ -16,14 +16,33 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ShapeMismatchError
+from repro.sparse import native
+from repro.sparse.validate import validate_csr
 from repro.types import INDEX_DTYPE
+
+#: Intermediate products replayed per chunk by :func:`values_from_recipe`
+#: (rounded up to whole output entries): the gathered and multiplied
+#: temporaries stay this long instead of one per product.
+_REPLAY_CHUNK = 1 << 14
 
 
 def check_multiplicable(A, B) -> None:
-    """Raise unless ``A @ B`` is shape-compatible."""
+    """Raise unless ``A @ B`` is shape-compatible and both operands are
+    structurally valid CSR.
+
+    Operands built with ``check=False`` reach here unvalidated, and every
+    expansion indexes B through A's column indices: a bad row pointer or
+    an out-of-range column would read out of bounds (a bare
+    ``IndexError``, a silently invalid product, or memory corruption in
+    the native kernel).  :func:`~repro.sparse.validate.validate_csr` is
+    O(nnz) -- noise next to the O(products) work it guards.
+    """
     if A.n_cols != B.n_rows:
         raise ShapeMismatchError(
             f"cannot multiply {A.shape} by {B.shape}: inner dimensions differ")
+    validate_csr(A)
+    if B is not A:
+        validate_csr(B)
 
 
 def intermediate_product_counts(A, B) -> np.ndarray:
@@ -153,13 +172,29 @@ class SortRecipe(NamedTuple):
 def build_sort_recipe(A, B) -> SortRecipe:
     """Capture the sort/merge structure of ``A @ B`` (values untouched).
 
-    The per-product A index is position ``j`` repeated over run ``j``'s
-    length and the B index is the same ``b_flat`` the expansion gathers;
-    both are then permuted by the (row, col) lexsort that
-    :func:`contract` would apply, so gathering values through them and
-    reducing at ``starts`` reproduces the contraction exactly.
+    Row by row in the native kernel (:mod:`repro.sparse.native`): mark
+    the row's distinct output columns, sort only those, then place each
+    product at its column's running offset in expansion order.  That is
+    the stable (row, col) sort :func:`contract` applies to the whole
+    expansion, so gathering values through the recipe and reducing at
+    ``starts`` reproduces the contraction exactly.  Without a C compiler
+    the numpy formulation (:func:`_sort_recipe_numpy`, also the oracle
+    the kernel is tested against) builds the same arrays.
     """
     check_multiplicable(A, B)
+    arrays = native.sort_recipe(A, B)
+    if arrays is None:
+        return _sort_recipe_numpy(A, B)
+    return SortRecipe(*arrays, (A.n_rows, B.n_cols))
+
+
+def _sort_recipe_numpy(A, B) -> SortRecipe:
+    """:func:`build_sort_recipe` by one global stable argsort.
+
+    The per-product A index is position ``j`` repeated over run ``j``'s
+    length and the B index is the same ``b_flat`` the expansion gathers;
+    both are then permuted by the (row, col) sort.
+    """
     shape = (A.n_rows, B.n_cols)
     b_row_nnz = np.diff(B.rpt)
     run_len = b_row_nnz[A.col]
@@ -212,13 +247,24 @@ def values_from_recipe(recipe: SortRecipe, A, B) -> np.ndarray:
     Bit-identical to the :func:`expand_products` + :func:`contract` pair:
     the same value pairs are multiplied in the same operand dtype, cast
     to float64, and reduced over the same boundaries in the same order --
-    only the lexsort itself is skipped.
+    only the lexsort itself is skipped.  The replay walks the products in
+    chunks of about :data:`_REPLAY_CHUNK` that end on output-entry
+    boundaries, so every entry is still reduced whole in one ``reduceat``
+    while no temporary grows with the product count.
     """
-    if recipe.n_products == 0:
-        return np.empty(0, dtype=np.float64)
-    v = (A.val[recipe.a_idx] * B.val[recipe.b_idx]).astype(np.float64,
-                                                           copy=False)
-    return np.add.reduceat(v, recipe.starts)
+    starts = recipe.starts
+    nnz = starts.shape[0]
+    out = np.empty(nnz, dtype=np.float64)
+    e0 = 0
+    while e0 < nnz:
+        p0 = int(starts[e0])
+        e1 = int(np.searchsorted(starts, p0 + _REPLAY_CHUNK))
+        p1 = int(starts[e1]) if e1 < nnz else recipe.n_products
+        v = A.val[recipe.a_idx[p0:p1]] * B.val[recipe.b_idx[p0:p1]]
+        np.add.reduceat(v.astype(np.float64, copy=False), starts[e0:e1] - p0,
+                        out=out[e0:e1])
+        e0 = e1
+    return out
 
 
 def contract(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

@@ -192,7 +192,7 @@ class TestServerBasics:
         check_serve_conservation(reg)
 
     def test_finished_jobs_release_operands(self):
-        """``server.jobs`` keeps every job, so a finished one must drop its
+        """``server.jobs`` keeps recent jobs, so a finished one must drop its
         operands; a coalesced follower still gets its leader's result."""
         A, other = mats(seed=1), mats(seed=2)
         ref = multiply(A, A)
@@ -216,6 +216,23 @@ class TestServerBasics:
         assert_same(solo.result(), ref)
         assert_same(follower.result(), ref)
         assert follower.result() is leader.result()
+
+    def test_job_history_is_bounded(self):
+        """A long-running server keeps only its last ``JOB_HISTORY`` jobs
+        (each holds its result), newest last."""
+        from repro.serve.server import JOB_HISTORY
+
+        A = mats(n=20, nnz=3)
+        with SpGEMMServer(n_workers=1, policy=ServePolicy(coalesce=False),
+                          **NO_SLEEP) as srv:
+            submitted = []
+            for _ in range(JOB_HISTORY + 20):
+                submitted.append(srv.submit(A, A, tenant="t"))
+                submitted[-1].result(timeout=30)
+            assert len(srv.jobs) == JOB_HISTORY
+            assert list(srv.jobs) == submitted[-JOB_HISTORY:]
+            srv.jobs.clear()
+            assert len(srv.jobs) == 0
 
     def test_distinct_values_do_not_coalesce(self):
         A, B = mats(seed=1), mats(seed=2)
