@@ -69,8 +69,9 @@ class TuningFamily:
     decode_overrides: Callable[[dict], Any]
     #: the search grid for a spec (candidate 0 is the default)
     candidates: Callable[[Any], list]
-    #: analytic objective ``(sketch, spec, precision, overrides) -> s``
-    modeled_total: Callable[..., float]
+    #: analytic objective of the whole grid
+    #: ``(sketch, spec, precision, candidates) -> [s, ...]``
+    score: Callable[..., list]
     #: a fresh native algorithm instance carrying the overrides
     algorithm: Callable[[Any], Any]
     #: sketch builder ``(A, B) -> sketch`` (must expose ``digest()``)
@@ -173,6 +174,15 @@ class Backend(abc.ABC):
                       precision: "Precision | str", overrides: Any) -> float:
         """Analytic objective on a sketch; ``inf`` when infeasible."""
 
+    def score_candidates(self, sketch: "MatrixSketch", spec: Any,
+                         precision: "Precision | str",
+                         candidates: list) -> list[float]:
+        """:meth:`modeled_total` of every candidate, in order.  Backends
+        whose candidates share work override this to score the grid in
+        one pass."""
+        return [self.modeled_total(sketch, spec, precision, ov)
+                for ov in candidates]
+
     @abc.abstractmethod
     def tuning_algorithm(self, overrides: Any) -> Any:
         """A fresh native algorithm instance carrying ``overrides`` (the
@@ -196,7 +206,7 @@ class Backend(abc.ABC):
             default_overrides=self.default_overrides,
             decode_overrides=self.decode_overrides,
             candidates=self.tuning_candidates,
-            modeled_total=self.modeled_total,
+            score=self.score_candidates,
             algorithm=self.tuning_algorithm,
             sketch=_sketch,
         ),)

@@ -64,6 +64,14 @@ class GPUBackend(Backend):
 
         return modeled_total(sketch, spec, precision, overrides)
 
+    def score_candidates(self, sketch: Any, spec: DeviceSpec,
+                         precision: Any, candidates: list) -> list[float]:
+        """The whole Table I grid in one pass, each distinct group
+        kernel costed once (:func:`repro.tune.tuner.score_candidates`)."""
+        from repro.tune.tuner import score_candidates
+
+        return score_candidates(sketch, spec, precision, candidates)
+
     def tuning_algorithm(self, overrides) -> Any:
         from repro.core.spgemm import HashSpGEMM
 
@@ -85,7 +93,9 @@ class GPUBackend(Backend):
             default_overrides=TileParams,
             decode_overrides=TileParams.from_dict,
             candidates=candidate_space,
-            modeled_total=modeled_tile_total,
+            score=lambda sketch, spec, precision, candidates: [
+                modeled_tile_total(sketch, spec, precision, ov)
+                for ov in candidates],
             algorithm=lambda ov: TileSpGEMM(params=ov),
             sketch=sketch_tiles,
         )

@@ -37,6 +37,16 @@ def chunk_maxes(per_row: np.ndarray, chunk: int) -> np.ndarray:
     return np.maximum.reduceat(per_row, starts)
 
 
+def grid_sums(per_row: np.ndarray) -> np.ndarray:
+    """Per-block sums of a one-thread-per-row grid of ``BLOCK_THREADS``.
+
+    A grid never has zero blocks: with no rows the launch is one idle
+    block, so a zero-row operand still yields a valid kernel.
+    """
+    sums = chunk_sums(per_row, BLOCK_THREADS)
+    return sums if sums.shape[0] else np.zeros(1, dtype=np.float64)
+
+
 def count_products(A, B) -> np.ndarray:
     """Per-row intermediate-product counts (the functional result)."""
     return intermediate_product_counts(A, B)
@@ -50,13 +60,10 @@ def count_products_kernel(A, *, stream: int = 0, phase: str = "setup") -> Kernel
     and the 4-byte result store.
     """
     nnz_a = A.row_nnz().astype(np.float64)
-    n = A.n_rows
-    blocks = max(1, -(-n // BLOCK_THREADS))
-    coalesced = chunk_sums(8.0 + 4.0 * nnz_a + 4.0, BLOCK_THREADS)
-    scattered = chunk_sums(nnz_a, BLOCK_THREADS)
-    flops = chunk_sums(nnz_a, BLOCK_THREADS)
-    works = BlockWorks(n_blocks=blocks,
-                       flops=flops,
+    coalesced = grid_sums(8.0 + 4.0 * nnz_a + 4.0)
+    scattered = grid_sums(nnz_a)
+    flops = grid_sums(nnz_a)
+    works = BlockWorks(flops=flops,
                        gmem_coalesced_bytes=coalesced,
                        gmem_random=scattered)
     return KernelLaunch(name="count_products", block_threads=BLOCK_THREADS,

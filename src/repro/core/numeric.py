@@ -107,6 +107,46 @@ def group0_table_entries(nnz_out_rows: np.ndarray) -> np.ndarray:
     return next_pow2_array(doubled).astype(np.float64)
 
 
+@dataclass
+class NumericGroupPlan:
+    """One non-empty group's share of the numeric phase."""
+
+    kernel: KernelLaunch
+    table_stats: dict
+    global_table_bytes: int = 0    #: Group-0 value tables (0 elsewhere)
+
+
+def numeric_group(params: GroupParams, nnz_a: np.ndarray, nprod: np.ndarray,
+                  nnz_out: np.ndarray, precision: Precision,
+                  device: DeviceSpec) -> NumericGroupPlan:
+    """The numeric kernel of one group, from its gathered per-row
+    ``nnz(A)``, product and output-nnz counts (rows in group order)."""
+    nnz_a_f = nnz_a.astype(np.float64)
+    nprod_f = nprod.astype(np.float64)
+    nnz_out_f = nnz_out.astype(np.float64)
+    stream = params.gid + 1
+    if params.assignment == ASSIGN_GLOBAL:
+        sizes = group0_table_entries(nnz_out)
+        kernel = _global_kernel(params, nnz_a_f, nprod_f, nnz_out_f, sizes,
+                                precision, stream)
+        load = nnz_out_f / np.maximum(sizes, 1.0)
+        entries = int(sizes.sum())
+        table_bytes = int((precision.hash_entry_bytes * sizes).sum())
+    else:
+        kernel = _shared_kernel(params, nnz_a_f, nprod_f, nnz_out_f,
+                                precision, device, stream)
+        load = nnz_out_f / max(params.table_numeric, 1)
+        entries = int(params.table_numeric)
+        table_bytes = 0
+    stats = {
+        "group": params.gid, "tables": int(nnz_a.shape[0]),
+        "table_entries": entries,
+        "load_mean": float(load.mean()) if load.size else 0.0,
+        "load_max": float(load.max()) if load.size else 0.0,
+    }
+    return NumericGroupPlan(kernel, stats, table_bytes)
+
+
 def plan_numeric(A, assignment: GroupAssignment, row_products: np.ndarray,
                  row_nnz: np.ndarray, precision: Precision,
                  device: DeviceSpec) -> NumericPlan:
@@ -114,34 +154,9 @@ def plan_numeric(A, assignment: GroupAssignment, row_products: np.ndarray,
     plan = NumericPlan()
     nnz_a_all = A.row_nnz()
     for params, rows in assignment.nonempty():
-        nnz_a = nnz_a_all[rows].astype(np.float64)
-        nprod = row_products[rows].astype(np.float64)
-        nnz_out = row_nnz[rows].astype(np.float64)
-        stream = params.gid + 1
-        if params.assignment == ASSIGN_GLOBAL:
-            sizes = group0_table_entries(row_nnz[rows])
-            plan.global_table_bytes += int(
-                (precision.hash_entry_bytes * sizes).sum())
-            plan.kernels.append(
-                _global_kernel(params, nnz_a, nprod, nnz_out, sizes,
-                               precision, stream))
-            load = nnz_out / np.maximum(sizes, 1.0)
-            plan.table_stats.append({
-                "group": params.gid, "tables": int(rows.shape[0]),
-                "table_entries": int(sizes.sum()),
-                "load_mean": float(load.mean()) if load.size else 0.0,
-                "load_max": float(load.max()) if load.size else 0.0,
-            })
-        else:
-            plan.kernels.append(
-                _shared_kernel(params, nnz_a, nprod, nnz_out, precision,
-                               device, stream))
-            tsize = params.table_numeric
-            load = nnz_out / max(tsize, 1)
-            plan.table_stats.append({
-                "group": params.gid, "tables": int(rows.shape[0]),
-                "table_entries": int(tsize),
-                "load_mean": float(load.mean()) if load.size else 0.0,
-                "load_max": float(load.max()) if load.size else 0.0,
-            })
+        group = numeric_group(params, nnz_a_all[rows], row_products[rows],
+                              row_nnz[rows], precision, device)
+        plan.kernels.append(group.kernel)
+        plan.table_stats.append(group.table_stats)
+        plan.global_table_bytes += group.global_table_bytes
     return plan

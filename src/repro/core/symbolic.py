@@ -145,6 +145,63 @@ def _group0_retry_kernel(params: GroupParams, nnz_a, nprod, nnz_out,
                         works=works, stream=0, phase="count", tag="g0retry")
 
 
+@dataclass
+class SymbolicGroupPlan:
+    """One non-empty group's share of the symbolic phase."""
+
+    kernel: KernelLaunch
+    table_stats: list[dict]
+    retry_kernel: KernelLaunch | None = None
+    #: bool mask over the group's rows that overflow the try table
+    failed: np.ndarray | None = None
+    retry_table_bytes: int = 0         #: global tables of the failed rows
+
+
+def symbolic_group(params: GroupParams, nnz_a: np.ndarray, nprod: np.ndarray,
+                   nnz_out: np.ndarray, try_table: int,
+                   device: DeviceSpec) -> SymbolicGroupPlan:
+    """The counting kernel(s) of one group, from its gathered per-row
+    ``nnz(A)``, product and output-nnz counts (rows in group order).
+
+    Group 0 gets its shared-table try kernel (``try_table`` entries) and,
+    when some row overflows it, the global-table retry kernel.
+    """
+    nnz_a_f = nnz_a.astype(np.float64)
+    nprod_f = nprod.astype(np.float64)
+    nnz_out_f = nnz_out.astype(np.float64)
+    n_rows = nnz_a.shape[0]
+    stream = params.gid + 1
+    if params.assignment != ASSIGN_GLOBAL:
+        build = (_pwarp_kernel if params.assignment == ASSIGN_PWARP
+                 else _tb_kernel)
+        return SymbolicGroupPlan(
+            build(params, nnz_a_f, nprod_f, nnz_out_f, device, stream),
+            [_table_stat(params.gid, n_rows, params.table_symbolic,
+                         nnz_out_f)])
+    group = SymbolicGroupPlan(
+        _group0_try_kernel(params, try_table, nnz_a_f, nprod_f, nnz_out_f,
+                           stream),
+        # the try tables' load factor exceeding 1.0 is exactly the
+        # overflow that routes rows into the global retry
+        [_table_stat(params.gid, n_rows, try_table, nnz_out_f)])
+    failed = nnz_out_f > try_table
+    if failed.any():
+        sizes = next_pow2_array(nprod[failed]).astype(np.float64)
+        group.failed = failed
+        group.retry_table_bytes = int(4 * sizes.sum())
+        group.retry_kernel = _group0_retry_kernel(
+            params, nnz_a_f[failed], nprod_f[failed], nnz_out_f[failed], sizes)
+        retry_load = nnz_out_f[failed] / sizes
+        group.table_stats.append({
+            "group": params.gid, "tables": int(failed.sum()),
+            "table_entries": int(sizes.sum()),
+            "load_mean": float(retry_load.mean()),
+            "load_max": float(retry_load.max()),
+            "retry": True,
+        })
+    return group
+
+
 def plan_symbolic(A, assignment: GroupAssignment, row_products: np.ndarray,
                   row_nnz: np.ndarray, device: DeviceSpec) -> SymbolicPlan:
     """Build the symbolic-phase kernels for a grouped matrix.
@@ -155,45 +212,13 @@ def plan_symbolic(A, assignment: GroupAssignment, row_products: np.ndarray,
     plan = SymbolicPlan(row_nnz=row_nnz)
     nnz_a_all = A.row_nnz()
     try_table = assignment.table.max_shared_table_symbolic
-
     for params, rows in assignment.nonempty():
-        nnz_a = nnz_a_all[rows].astype(np.float64)
-        nprod = row_products[rows].astype(np.float64)
-        nnz_out = row_nnz[rows].astype(np.float64)
-        stream = params.gid + 1
-        if params.assignment == ASSIGN_PWARP:
-            plan.kernels.append(
-                _pwarp_kernel(params, nnz_a, nprod, nnz_out, device, stream))
-            plan.table_stats.append(_table_stat(
-                params.gid, rows.shape[0], params.table_symbolic, nnz_out))
-        elif params.assignment == ASSIGN_GLOBAL:
-            plan.kernels.append(
-                _group0_try_kernel(params, try_table, nnz_a, nprod, nnz_out,
-                                   stream))
-            # the try tables' load factor exceeding 1.0 is exactly the
-            # overflow that routes rows into the global retry
-            plan.table_stats.append(_table_stat(
-                params.gid, rows.shape[0], try_table, nnz_out))
-            failed_mask = nnz_out > try_table
-            failed = rows[failed_mask]
-            if failed.shape[0]:
-                sizes = next_pow2_array(row_products[failed]).astype(np.float64)
-                plan.failed_rows = failed
-                plan.global_table_bytes = int(4 * sizes.sum())
-                plan.retry_kernel = _group0_retry_kernel(
-                    params, nnz_a[failed_mask], nprod[failed_mask],
-                    nnz_out[failed_mask], sizes)
-                retry_load = nnz_out[failed_mask] / sizes
-                plan.table_stats.append({
-                    "group": params.gid, "tables": int(failed.shape[0]),
-                    "table_entries": int(sizes.sum()),
-                    "load_mean": float(retry_load.mean()),
-                    "load_max": float(retry_load.max()),
-                    "retry": True,
-                })
-        else:
-            plan.kernels.append(
-                _tb_kernel(params, nnz_a, nprod, nnz_out, device, stream))
-            plan.table_stats.append(_table_stat(
-                params.gid, rows.shape[0], params.table_symbolic, nnz_out))
+        group = symbolic_group(params, nnz_a_all[rows], row_products[rows],
+                               row_nnz[rows], try_table, device)
+        plan.kernels.append(group.kernel)
+        plan.table_stats.extend(group.table_stats)
+        if group.retry_kernel is not None:
+            plan.failed_rows = rows[group.failed]
+            plan.global_table_bytes = group.retry_table_bytes
+            plan.retry_kernel = group.retry_kernel
     return plan

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import work as W
-from repro.core.count_products import BLOCK_THREADS, chunk_sums, count_products
+from repro.core.count_products import BLOCK_THREADS, count_products, grid_sums
 from repro.gpu.kernel import BlockWorks, KernelLaunch
 
 #: Sampled B-row lengths per estimated row (the OCEAN default regime:
@@ -138,14 +138,11 @@ def estimate_sample_kernel(nnz_a: np.ndarray, samples: int,
     count kernels.
     """
     nnz_a = np.asarray(nnz_a, dtype=np.float64)
-    n = nnz_a.shape[0]
-    blocks = max(1, -(-n // BLOCK_THREADS))
     draws = np.minimum(nnz_a, float(samples))
-    coalesced = chunk_sums(np.full(n, 8.0 + 4.0), BLOCK_THREADS)
-    scattered = chunk_sums(2.0 * draws, BLOCK_THREADS)
-    flops = chunk_sums(8.0 * draws + 4.0, BLOCK_THREADS)
-    works = BlockWorks(n_blocks=blocks,
-                       flops=flops,
+    coalesced = grid_sums(np.full(nnz_a.shape[0], 8.0 + 4.0))
+    scattered = grid_sums(2.0 * draws)
+    flops = grid_sums(8.0 * draws + 4.0)
+    works = BlockWorks(flops=flops,
                        gmem_coalesced_bytes=coalesced,
                        gmem_random=scattered)
     return KernelLaunch(name="estimate_sample", block_threads=BLOCK_THREADS,

@@ -348,8 +348,14 @@ class CSRMatrix:
 
     def allclose(self, other: "CSRMatrix", rtol: float = 1e-5,
                  atol: float = 1e-8) -> bool:
-        """Structural equality and elementwise value closeness (canonical forms)."""
-        a, b = self.canonicalize(), other.canonicalize()
+        """Structural equality and elementwise value closeness (canonical forms).
+
+        An operand already canonical is compared as is: strictly
+        increasing rows have no duplicates to merge, so canonicalizing
+        it would only copy it.
+        """
+        a, b = (m if m.is_canonical() else m.canonicalize()
+                for m in (self, other))
         return (a.shape == b.shape
                 and np.array_equal(a.rpt, b.rpt)
                 and np.array_equal(a.col, b.col)

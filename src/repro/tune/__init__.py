@@ -26,7 +26,8 @@ machinery as the objective:
 from repro.tune.sketch import MatrixSketch, sketch_matrix
 from repro.tune.store import STORE_SCHEMA, TuningStore
 from repro.tune.tuned import TunedSpGEMM
-from repro.tune.tuner import Autotuner, TuneResult, candidate_space, modeled_total
+from repro.tune.tuner import (Autotuner, TuneResult, candidate_space,
+                              modeled_total, score_candidates)
 
 __all__ = [
     "Autotuner",
@@ -37,5 +38,6 @@ __all__ = [
     "TuningStore",
     "candidate_space",
     "modeled_total",
+    "score_candidates",
     "sketch_matrix",
 ]

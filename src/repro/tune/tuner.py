@@ -2,15 +2,17 @@
 
 Three stages, cheap to expensive:
 
-1. *Score* -- every candidate :class:`~repro.core.params.ParamOverrides`
-   in :func:`candidate_space` is evaluated by :func:`modeled_total`: the
-   sketch's reconstructed per-row arrays are grouped and planned by the
-   production planners (:func:`~repro.core.symbolic.plan_symbolic`,
-   :func:`~repro.core.numeric.plan_numeric`) and the kernels costed by
+1. *Score* -- :func:`score_candidates` evaluates the whole
+   :func:`candidate_space` grid on the sketch in one pass: the rows of
+   each group are gathered from the reconstructed sketch, their kernels
+   built by the production per-group builders
+   (:func:`~repro.core.symbolic.symbolic_group`,
+   :func:`~repro.core.numeric.numeric_group`) and costed by
    :func:`~repro.gpu.cost.kernel_duration_alone` -- concurrent streams
-   modeled as the max over per-stream sums, the Group-0 retry serial.
-   Infeasible candidates (a :class:`~repro.errors.DeviceConfigError` from
-   the table builder) score infinity.
+   modeled as the max over per-stream sums, the Group-0 retry serial --
+   each distinct kernel once per search.  Infeasible candidates (a
+   :class:`~repro.errors.DeviceConfigError` from the table or kernel
+   builders) score infinity.
 2. *Measure* -- the paper's default plus the ``top_k`` best-scoring
    candidates run a real :class:`~repro.core.spgemm.HashSpGEMM` multiply;
    the full event-scheduler figure (``report.total_seconds``) decides.
@@ -27,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.grouping import group_rows
-from repro.core.numeric import plan_numeric
-from repro.core.params import ParamOverrides, build_group_table, pow2_floor
-from repro.core.symbolic import plan_symbolic
+from repro.core.grouping import assign_gids
+from repro.core.numeric import numeric_group
+from repro.core.params import (GroupTable, ParamOverrides, build_group_table,
+                               pow2_floor)
+from repro.core.symbolic import symbolic_group
 from repro.errors import AlgorithmError, DeviceConfigError
 from repro.estimate import (
     DEFAULT_MARGIN,
@@ -104,16 +107,6 @@ class TuneResult:
         )
 
 
-class _SketchRows:
-    """Adapter giving the planners the one thing they read off ``A``."""
-
-    def __init__(self, row_nnz_a):
-        self._nnz = row_nnz_a
-
-    def row_nnz(self):
-        return self._nnz
-
-
 def candidate_space(device: DeviceSpec) -> list[ParamOverrides]:
     """The Table I search grid for ``device``.
 
@@ -156,63 +149,175 @@ def candidate_space(device: DeviceSpec) -> list[ParamOverrides]:
     return out
 
 
-def _stream_makespan(kernels, device: DeviceSpec, precision: Precision) -> float:
-    """Phase makespan under concurrent streams: kernels on the same
-    stream serialize, distinct streams overlap -- the max over per-stream
-    sums (the analytic analogue of the event scheduler's stream model)."""
+def _stream_makespan(timed) -> float:
+    """Phase makespan of ``(stream, seconds)`` kernels under concurrent
+    streams: kernels on the same stream serialize, distinct streams
+    overlap -- the max over per-stream sums (the analytic analogue of
+    the event scheduler's stream model)."""
     per_stream: dict[int, float] = {}
-    for k in kernels:
-        per_stream[k.stream] = (per_stream.get(k.stream, 0.0)
-                                + kernel_duration_alone(k, device, precision))
+    for stream, seconds in timed:
+        per_stream[stream] = per_stream.get(stream, 0.0) + seconds
     return max(per_stream.values(), default=0.0)
+
+
+#: Memo value of a kernel that cannot run: a plain ``(stream, seconds)``
+#: pair, never the exception (its traceback would pin the search's
+#: frames -- and through them the per-row arrays -- in a reference cycle).
+_INFEASIBLE = (-1, float("inf"))
+
+
+class _GridScorer:
+    """One search's scoring state: the reconstructed sketch and a memo of
+    kernel durations.  Lives for one :func:`score_candidates` call."""
+
+    def __init__(self, sketch: MatrixSketch, device: DeviceSpec,
+                 precision: Precision) -> None:
+        self.device, self.precision = device, precision
+        self.nnz_a, self.nprod, self.nnz_out = sketch.reconstruct()
+        counts = sketch.buckets[:, 0]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        self.present = np.flatnonzero(counts > 0)
+        first = starts[self.present]
+        nprod, nnz = self.nprod[first], self.nnz_out[first]
+        #: rows of bucket ``b`` are ``starts[b]:starts[b + 1]``
+        self.starts: list[int] = starts.tolist()
+        #: one representative count per non-empty bucket, per metric
+        self.by_metric = {
+            "products": nprod,
+            "nnz": nnz,
+            "estimate": np.minimum(
+                np.ceil((1.0 + DEFAULT_MARGIN) * nnz).astype(np.int64),
+                nprod.astype(np.int64)),
+        }
+        self.memo: dict[tuple, tuple[int, float]] = {}
+        self.sample_seconds: float | None = None
+
+    def groups(self, table: GroupTable, metric: str):
+        """``(params, buckets)`` per non-empty group in table order, or
+        None when some bucket falls outside every group's range.  Rows
+        of a bucket are identical, so each group is a union of buckets."""
+        gids = assign_gids(self.by_metric[metric], table, metric).tolist()
+        if -1 in gids:
+            return None
+        members: dict[int, list[int]] = {}
+        for b, gid in zip(self.present.tolist(), gids):
+            members.setdefault(gid, []).append(b)
+        return [(table[gid], tuple(members[gid])) for gid in sorted(members)]
+
+    def rows(self, buckets: tuple[int, ...]):
+        """The group's per-row ``(nnz_a, products, nnz_out)``: its
+        buckets' rows, in bucket order."""
+        idx = np.concatenate([np.arange(self.starts[b], self.starts[b + 1])
+                              for b in buckets])
+        return self.nnz_a[idx], self.nprod[idx], self.nnz_out[idx]
+
+    def _time(self, key: tuple, kernel) -> None:
+        self.memo[key] = (kernel.stream, kernel_duration_alone(
+            kernel, self.device, self.precision))
+
+    def symbolic(self, params, buckets, try_table: int):
+        """``((stream, s) of the counting kernel, (stream, s) of the
+        Group-0 retry or None)``."""
+        # only Group 0's kernels read the try-table size
+        key = (params, buckets,
+               try_table if params.uses_global_table else None)
+        count, retry = ("count", *key), ("retry", *key)
+        if count not in self.memo:
+            try:
+                group = symbolic_group(params, *self.rows(buckets),
+                                       try_table, self.device)
+                self._time(count, group.kernel)
+                if group.retry_kernel is not None:
+                    self._time(retry, group.retry_kernel)
+            except (AlgorithmError, DeviceConfigError):
+                self.memo[count] = _INFEASIBLE
+        return self.memo[count], self.memo.get(retry)
+
+    def numeric(self, params, buckets) -> tuple[int, float]:
+        key = ("calc", params, buckets)
+        if key not in self.memo:
+            try:
+                self._time(key, numeric_group(
+                    params, *self.rows(buckets), self.precision,
+                    self.device).kernel)
+            except (AlgorithmError, DeviceConfigError):
+                self.memo[key] = _INFEASIBLE
+        return self.memo[key]
+
+    def sample(self) -> float:
+        """The estimator's sample kernel: one per search."""
+        if self.sample_seconds is None:
+            try:
+                self.sample_seconds = kernel_duration_alone(
+                    estimate_sample_kernel(self.nnz_a, DEFAULT_SAMPLES),
+                    self.device, self.precision)
+            except DeviceConfigError:
+                self.sample_seconds = float("inf")
+        return self.sample_seconds
+
+    def score(self, ov: ParamOverrides) -> float:
+        try:
+            table = build_group_table(self.device, overrides=ov)
+        except DeviceConfigError:
+            return float("inf")
+        if ov.symbolic == "estimate":
+            num = self.groups(table, "estimate")
+            if num is None:
+                return float("inf")
+            return self.sample() + _stream_makespan(
+                self.numeric(params, b) for params, b in num)
+        sym, num = self.groups(table, "products"), self.groups(table, "nnz")
+        if sym is None or num is None:
+            return float("inf")
+        counts, retry = [], None
+        for params, b in sym:
+            count, group_retry = self.symbolic(
+                params, b, table.max_shared_table_symbolic)
+            counts.append(count)
+            if group_retry is not None:
+                retry = group_retry
+        total = (_stream_makespan(counts)
+                 + _stream_makespan(self.numeric(params, b)
+                                    for params, b in num))
+        if retry is not None:
+            total += retry[1]
+        return total
+
+
+def score_candidates(sketch: MatrixSketch, device: DeviceSpec,
+                     precision: Precision | str,
+                     candidates: list[ParamOverrides]) -> list[float]:
+    """Analytic objective of every candidate: modeled count+calc seconds
+    on the sketch, ``inf`` for infeasible configurations (so callers can
+    rank without special-casing).
+
+    Exact candidates cost the symbolic kernels (concurrent streams, the
+    Group-0 retry serial after them) plus the numeric kernels.
+    ``symbolic == "estimate"`` swaps the symbolic pass for the sampled
+    estimator: one sample kernel, and numeric grouping driven by the
+    margin-inflated bounds (clamped to the product counts, assumed
+    violation-free -- recovery is a runtime event the sketch cannot
+    predict).
+
+    One call costs each distinct kernel once.  Every row of a sketch
+    bucket is identical, so every group is a union of whole buckets;
+    the production per-group builders
+    (:func:`~repro.core.symbolic.symbolic_group`,
+    :func:`~repro.core.numeric.numeric_group`) build each kernel on its
+    group's gathered rows and :func:`~repro.gpu.cost.
+    kernel_duration_alone` costs it, memoized per ``(phase, group
+    params, buckets)`` for this call only -- so every score is
+    bit-identical to planning that candidate alone.
+    """
+    grid = _GridScorer(sketch, device, Precision.parse(precision))
+    return [grid.score(ov) for ov in candidates]
 
 
 def modeled_total(sketch: MatrixSketch, device: DeviceSpec,
                   precision: Precision | str,
                   overrides: ParamOverrides) -> float:
-    """Analytic objective: modeled count+calc seconds on the sketch.
-
-    ``overrides.symbolic == "estimate"`` swaps the exact counting pass
-    for the sampled estimator: one sample kernel instead of the symbolic
-    hash pass, and numeric grouping driven by the margin-inflated bounds
-    (clamped to the product counts, assumed violation-free -- recovery
-    is a runtime event the sketch cannot predict).
-
-    Returns ``inf`` for infeasible configurations, so callers can rank
-    without special-casing.
-    """
-    p = Precision.parse(precision)
-    try:
-        table = build_group_table(device, overrides=overrides)
-    except DeviceConfigError:
-        return float("inf")
-    nnz_a, nprod, nnz_out = sketch.reconstruct()
-    shim = _SketchRows(nnz_a)
-    try:
-        if overrides.symbolic == "estimate":
-            bounds = np.minimum(
-                np.ceil((1.0 + DEFAULT_MARGIN) * nnz_out).astype(np.int64),
-                nprod.astype(np.int64))
-            num_groups = group_rows(bounds, table, "estimate")
-            num = plan_numeric(shim, num_groups, nprod, nnz_out, p, device)
-            total = (kernel_duration_alone(
-                         estimate_sample_kernel(nnz_a, DEFAULT_SAMPLES),
-                         device, p)
-                     + _stream_makespan(num.kernels, device, p))
-        else:
-            sym_groups = group_rows(nprod, table, "products")
-            num_groups = group_rows(nnz_out, table, "nnz")
-            sym = plan_symbolic(shim, sym_groups, nprod, nnz_out, device)
-            num = plan_numeric(shim, num_groups, nprod, nnz_out, p, device)
-            total = (_stream_makespan(sym.kernels, device, p)
-                     + _stream_makespan(num.kernels, device, p))
-            if sym.retry_kernel is not None:
-                total += kernel_duration_alone(sym.retry_kernel, device, p)
-    except (AlgorithmError, DeviceConfigError):
-        # uncovered count range, or a kernel that exceeds a device limit
-        # (e.g. a wide PWARP boundary overflowing shared memory)
-        return float("inf")
-    return total
+    """Analytic objective of one candidate (see :func:`score_candidates`)."""
+    return score_candidates(sketch, device, precision, [overrides])[0]
 
 
 class Autotuner:
@@ -270,9 +375,9 @@ class Autotuner:
 
         default_ov = self.family.default_overrides()
         candidates = self.family.candidates(self.device)
-        scored = [(self.family.modeled_total(sketch, self.device,
-                                             self.precision, ov), ov)
-                  for ov in candidates]
+        scored = list(zip(self.family.score(sketch, self.device,
+                                            self.precision, candidates),
+                          candidates))
         default_score = scored[0][0]
         ranked = sorted((s for s in scored[1:] if s[0] < float("inf")),
                         key=lambda s: s[0])
@@ -293,7 +398,7 @@ class Autotuner:
         if not best_ov.is_default() and best_res is not None:
             ref = spgemm_reference(A, B)
             rtol = 1e-9 if self.precision is Precision.DOUBLE else 1e-4
-            validated = best_res.matrix.canonicalize().allclose(ref, rtol=rtol)
+            validated = best_res.matrix.allclose(ref, rtol=rtol)
             if not validated:
                 # never ship a config the oracle rejects
                 best_ov, best_seconds, best_score = (

@@ -124,6 +124,20 @@ class TestEdgeCases:
         got = repro.multiply(A, A, algorithm=algorithm).matrix
         np.testing.assert_allclose(got.to_dense(), dense @ dense)
 
+    @pytest.mark.parametrize("shapes", [((0, 0), (0, 0)), ((0, 5), (5, 3))])
+    @pytest.mark.parametrize("options", [
+        {}, {"engine": True}, {"symbolic": "estimate"}, {"tune": True},
+        {"algorithm": "tile"}, {"devices": 2}, {"resilient": True},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
+    def test_zero_row_operands(self, shapes, options):
+        """A zero-row grid still launches: every composition returns the
+        empty product with a finite modeled time."""
+        A, B = (CSRMatrix.empty(s) for s in shapes)
+        res = repro.multiply(A, B, **options)
+        assert res.matrix.shape == (shapes[0][0], shapes[1][1])
+        assert res.matrix.nnz == 0
+        assert np.isfinite(res.report.total_seconds)
+
     def test_mtx_round_trip_through_spgemm(self, tmp_path, rng):
         from repro.sparse.io import read_matrix_market, write_matrix_market
 
