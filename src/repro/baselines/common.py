@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.count_products import grid_sums
 from repro.gpu.kernel import BlockWorks, KernelLaunch
 
 
@@ -32,12 +33,10 @@ def row_chunk_grid(columns: dict[str, np.ndarray], rows_per_block: int,
     rows; per-row work columns are summed per block.  Row order is the
     matrix's own (no grouping), so heavy rows inflate whichever block they
     land in -- the load-imbalance mechanism of the ungrouped baselines.
+    With no rows the grid is one idle block.
     """
-    n = next(iter(columns.values())).shape[0]
-    starts = np.arange(0, n, rows_per_block)
-    agg = {k: np.add.reduceat(np.asarray(v, dtype=np.float64), starts)
-           for k, v in columns.items()}
+    agg = {k: grid_sums(v, rows_per_block) for k, v in columns.items()}
     return KernelLaunch(name=name, block_threads=block_threads,
                         shared_bytes_per_block=shared_bytes,
-                        works=BlockWorks(n_blocks=starts.shape[0], **agg),
+                        works=BlockWorks(**agg),
                         stream=stream, phase=phase)

@@ -37,13 +37,14 @@ def chunk_maxes(per_row: np.ndarray, chunk: int) -> np.ndarray:
     return np.maximum.reduceat(per_row, starts)
 
 
-def grid_sums(per_row: np.ndarray) -> np.ndarray:
-    """Per-block sums of a one-thread-per-row grid of ``BLOCK_THREADS``.
+def grid_sums(per_row: np.ndarray, chunk: int = BLOCK_THREADS) -> np.ndarray:
+    """Per-block sums of a grid of ``chunk`` rows per block (by default
+    one thread per row in blocks of ``BLOCK_THREADS``).
 
     A grid never has zero blocks: with no rows the launch is one idle
     block, so a zero-row operand still yields a valid kernel.
     """
-    sums = chunk_sums(per_row, BLOCK_THREADS)
+    sums = chunk_sums(per_row, chunk)
     return sums if sums.shape[0] else np.zeros(1, dtype=np.float64)
 
 

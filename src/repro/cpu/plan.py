@@ -4,7 +4,8 @@ Every builder takes the per-row arrays the functional computation
 already produced -- ``nnz_a`` (A's row lengths), ``nprod`` (intermediate
 products per row), ``nnz_out`` (C's row lengths) -- chunks them into
 ``block_rows``-row scheduling chunks with the shared
-:func:`~repro.core.count_products.chunk_sums` primitives, and emits one
+:func:`~repro.core.count_products.grid_sums` primitive (one idle chunk
+for zero rows), and emits one
 :class:`~repro.gpu.kernel.KernelLaunch` whose chunks carry the CPU
 reinterpretation of the seven work columns (see :mod:`repro.cpu.cost`).
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.count_products import chunk_maxes, chunk_sums
+from repro.core.count_products import grid_sums
 from repro.cpu.cost import kernel_duration_alone
 from repro.cpu.device import CPUSpec
 from repro.cpu.params import CPUParams
@@ -76,9 +77,9 @@ def count_products_cpu_kernel(nnz_a: np.ndarray, *, threads: int,
     ``rpt_B`` pair per A-nonzero."""
     nnz_a = np.asarray(nnz_a, dtype=np.float64)
     works = BlockWorks(
-        flops=chunk_sums(nnz_a, block_rows),
-        gmem_coalesced_bytes=chunk_sums(8.0 + 4.0 * nnz_a + 4.0, block_rows),
-        gmem_random=chunk_sums(nnz_a, block_rows),
+        flops=grid_sums(nnz_a, block_rows),
+        gmem_coalesced_bytes=grid_sums(8.0 + 4.0 * nnz_a + 4.0, block_rows),
+        gmem_random=grid_sums(nnz_a, block_rows),
     )
     return KernelLaunch(name="cpu_count_products", block_threads=threads,
                         shared_bytes_per_block=0, works=works, stream=stream,
@@ -124,11 +125,11 @@ def hash_symbolic_cpu_kernel(nnz_a, nprod, nnz_out, spec: CPUSpec, *,
     penalty = cache_penalty_array(entries * 4.0, spec)
     probes = nprod * PROBE_FACTOR * penalty + entries  # + table clear
     works = BlockWorks(
-        flops=chunk_sums(nprod, block_rows),           # hash computation
-        shared_ops=chunk_sums(probes, block_rows),
-        gmem_coalesced_bytes=chunk_sums(
+        flops=grid_sums(nprod, block_rows),           # hash computation
+        shared_ops=grid_sums(probes, block_rows),
+        gmem_coalesced_bytes=grid_sums(
             8.0 + 4.0 * nnz_a + 4.0 * nprod + 4.0, block_rows),
-        gmem_random=chunk_sums(nnz_a, block_rows),     # B row starts
+        gmem_random=grid_sums(nnz_a, block_rows),     # B row starts
     )
     return KernelLaunch(name="cpu_hash_symbolic", block_threads=threads,
                         shared_bytes_per_block=0, works=works, stream=stream,
@@ -151,12 +152,12 @@ def hash_numeric_cpu_kernel(nnz_a, nprod, nnz_out, spec: CPUSpec,
     probes = nprod * PROBE_FACTOR * penalty + entries
     sort_ops = out * np.log2(np.maximum(2.0, out))
     works = BlockWorks(
-        flops=chunk_sums(2.0 * nprod + sort_ops, block_rows),
-        shared_ops=chunk_sums(probes + sort_ops, block_rows),
-        gmem_coalesced_bytes=chunk_sums(
+        flops=grid_sums(2.0 * nprod + sort_ops, block_rows),
+        shared_ops=grid_sums(probes + sort_ops, block_rows),
+        gmem_coalesced_bytes=grid_sums(
             8.0 + 4.0 * nnz_a + (4.0 + vb) * nprod + (4.0 + vb) * out,
             block_rows),
-        gmem_random=chunk_sums(nnz_a, block_rows),
+        gmem_random=grid_sums(nnz_a, block_rows),
     )
     return KernelLaunch(name="cpu_hash_numeric", block_threads=threads,
                         shared_bytes_per_block=0, works=works, stream=stream,
@@ -181,12 +182,12 @@ def heap_cpu_kernel(name: str, nnz_a, nprod, nnz_out, precision, *,
     sift = nprod * np.ceil(np.log2(np.maximum(2.0, nnz_a)))
     flops = sift + (2.0 * nprod if numeric else 0.0)
     works = BlockWorks(
-        flops=chunk_sums(flops, block_rows),
-        shared_ops=chunk_sums(2.0 * sift, block_rows),
-        gmem_coalesced_bytes=chunk_sums(
+        flops=grid_sums(flops, block_rows),
+        shared_ops=grid_sums(2.0 * sift, block_rows),
+        gmem_coalesced_bytes=grid_sums(
             8.0 + 4.0 * nnz_a + (4.0 + vb) * nprod + (4.0 + vb) * out,
             block_rows),
-        gmem_random=chunk_sums(nnz_a, block_rows),
+        gmem_random=grid_sums(nnz_a, block_rows),
     )
     return KernelLaunch(name=name, block_threads=threads,
                         shared_bytes_per_block=0, works=works, stream=stream,
@@ -209,10 +210,10 @@ def propagate_cpu_kernel(nnz_a, nprod, precision, *, threads: int,
     # cursor touches hit at most `bins` distinct lines per chunk
     cursor = np.minimum(nprod, float(bins))
     works = BlockWorks(
-        flops=chunk_sums(2.0 * nprod, block_rows),
-        gmem_coalesced_bytes=chunk_sums(
+        flops=grid_sums(2.0 * nprod, block_rows),
+        gmem_coalesced_bytes=grid_sums(
             8.0 + 4.0 * nnz_a + 2.0 * (4.0 + vb) * nprod, block_rows),
-        gmem_random=chunk_sums(nnz_a + cursor, block_rows),
+        gmem_random=grid_sums(nnz_a + cursor, block_rows),
     )
     return KernelLaunch(name="cpu_propagate", block_threads=threads,
                         shared_bytes_per_block=0, works=works, stream=stream,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
+import math
 from bisect import insort
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from repro.gpu.faults import FaultPlan
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.occupancy import occupancy_for
 from repro.gpu.timeline import KernelRecord
+from repro.sparse import native
 from repro.types import Precision
 
 #: Hard cap on simulated events, as a runaway guard (not a tuning knob).
@@ -81,35 +83,6 @@ class PhaseSchedule:
         return self.end - self.start
 
 
-class _KernelState:
-    __slots__ = ("kernel", "durations", "threads", "shared", "next_block",
-                 "done", "ready_at", "first_start", "finish", "index")
-
-    def __init__(self, index: int, kernel: KernelLaunch, durations,
-                 device: DeviceSpec) -> None:
-        occ = occupancy_for(device, kernel.block_threads,
-                            kernel.shared_bytes_per_block)
-        self.index = index
-        self.kernel = kernel
-        self.durations = durations
-        # resource footprint of one block on an SM
-        self.threads = occ.warps_per_block * device.warp_size
-        self.shared = kernel.shared_bytes_per_block
-        self.next_block = 0
-        self.done = 0
-        self.ready_at: float | None = None   # None = not yet ready
-        self.first_start: float | None = None
-        self.finish: float | None = None
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.durations)
-
-    @property
-    def dispatch_complete(self) -> bool:
-        return self.next_block >= self.n_blocks
-
-
 def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
                    precision: Precision | str, *, start_time: float = 0.0,
                    use_streams: bool = True,
@@ -132,7 +105,9 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
     and a hit returns bit-identical records (stored with absolute
     timestamps) without re-running the event loop.  Fault plans always
     simulate live (``check_kernel`` is stateful), and
-    ``REPRO_SCALAR_CORE=1`` disables the memo outright.
+    ``REPRO_SCALAR_CORE=1`` disables the memo outright.  A live
+    simulation's event loop runs in the native kernel when it is built
+    (:func:`_run_events`).
     """
     if not kernels:
         return PhaseSchedule(start=start_time, end=start_time, records=[])
@@ -155,32 +130,102 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
             return PhaseSchedule(start=start_time, end=end,
                                  records=[dataclasses.replace(r)
                                           for r in records])
-    states = [_KernelState(i, k, block_durations(k, device, p), device)
-              for i, k in enumerate(kernels)]
-
+    durations = [block_durations(k, device, p) for k in kernels]
+    # resource footprint of one block on an SM
+    threads = [occupancy_for(device, k.block_threads,
+                             k.shared_bytes_per_block).warps_per_block
+               * device.warp_size for k in kernels]
+    shared = [k.shared_bytes_per_block for k in kernels]
+    streams = [k.stream if use_streams else 0 for k in kernels]
     # stream predecessor chains (all on one stream when streams disabled)
     prev_on_stream: dict[int, int] = {}
-    predecessor: list[int | None] = [None] * len(states)
-    for st in states:
-        stream = st.kernel.stream if use_streams else 0
-        if stream in prev_on_stream:
-            predecessor[st.index] = prev_on_stream[stream]
-        prev_on_stream[stream] = st.index
+    predecessor = [-1] * len(kernels)
+    for i, stream in enumerate(streams):
+        predecessor[i] = prev_on_stream.get(stream, -1)
+        prev_on_stream[stream] = i
+    issue_gap = device.kernel_launch_us * 1e-6
+    issue = [start_time + (i + 1) * issue_gap for i in range(len(kernels))]
+
+    first_start, _, finish = _run_events(durations, threads, shared,
+                                         predecessor, issue, device)
+    records = [KernelRecord(name=k.name, phase=k.phase, stream=stream,
+                            start=float(first_start[i]),
+                            end=float(finish[i]),
+                            n_blocks=k.n_blocks,
+                            block_seconds=float(durations[i].sum()))
+               for i, (k, stream) in enumerate(zip(kernels, streams))]
+    end = max(r.end for r in records)
+    if key is not None:
+        _memo.put(key, (end, tuple(dataclasses.replace(r) for r in records)))
+    return PhaseSchedule(start=start_time, end=end, records=records)
+
+
+def _run_events(durations: list[np.ndarray], threads: list[int],
+                shared: list[int], predecessor: list[int],
+                issue: list[float],
+                device: DeviceSpec) -> tuple[list, list, list]:
+    """The phase's event loop: the native kernel
+    (:func:`repro.sparse.native.schedule_phase`) when it is built and the
+    vectorized core is on, else :func:`_event_loop`.  Both give
+    bit-identical times and raise the same :class:`SchedulerError`s."""
+    if not perf.scalar_core_enabled():
+        ran = native.schedule_phase(durations, threads, shared, predecessor,
+                                    issue, device, MAX_EVENTS)
+        if ran is not None:
+            rc, times = ran
+            if rc == 0:
+                return times
+            if rc == native.SCHEDULE_BUDGET:
+                raise SchedulerError(_BUDGET_MSG)
+            if rc == native.SCHEDULE_DEADLOCK:
+                raise SchedulerError(_deadlock_msg(
+                    sum(map(math.isnan, times[2]))))    # NaN: unfinished
+            raise MemoryError("scheduler kernel: scratch allocation failed")
+    return _event_loop(durations, threads, shared, predecessor, issue,
+                       device)
+
+
+_BUDGET_MSG = "event budget exceeded; runaway simulation"
+
+
+def _deadlock_msg(unfinished: int) -> str:
+    return f"{unfinished} kernels never completed (dispatch deadlock)"
+
+
+def _event_loop(durations: list[np.ndarray], threads: list[int],
+                shared: list[int], predecessor: list[int],
+                issue: list[float],
+                device: DeviceSpec) -> tuple[list, list, list]:
+    """Dispatch every kernel's blocks FIFO onto the SMs, event by event.
+
+    Kernel ``i`` has blocks of ``durations[i]`` seconds, each holding
+    ``threads[i]`` threads and ``shared[i]`` bytes of shared memory; it
+    becomes ready at ``issue[i]`` or, with a stream predecessor
+    (``predecessor[i] >= 0``), when that finishes, whichever is later.
+    Returns per-kernel ``(first_start, ready_at, finish)`` times.  The
+    reference of the native kernel, run without a compiler and under
+    ``REPRO_SCALAR_CORE=1``.
+    """
+    n = len(durations)
+    n_blocks = [len(d) for d in durations]
+    next_block = [0] * n
+    done = [0] * n
+    first_start: list[float | None] = [None] * n
+    ready_at: list[float | None] = [None] * n
+    finish: list[float | None] = [None] * n
 
     # per-SM free resources
     threads_free = [device.max_threads_per_sm] * device.sm_count
     shared_free = [device.shared_mem_per_sm] * device.sm_count
     blocks_free = [device.max_blocks_per_sm] * device.sm_count
 
-    issue_gap = device.kernel_launch_us * 1e-6
     heap: list[tuple[float, int, int, int, int, int]] = []
     seq = 0
     # event tuples: (time, seq, kind, kernel_idx, sm, threads) where kind
     # 0 = kernel becomes ready, 1 = block completion
-    for st in states:
-        issue_time = start_time + (st.index + 1) * issue_gap
-        if predecessor[st.index] is None:
-            heapq.heappush(heap, (issue_time, seq, 0, st.index, -1, 0))
+    for i in range(n):
+        if predecessor[i] < 0:
+            heapq.heappush(heap, (issue[i], seq, 0, i, -1, 0))
             seq += 1
 
     n_events = 0
@@ -196,30 +241,28 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
         scan = all_sms if sms is None else sms
         still_ready = []
         for idx in ready:
-            st = states[idx]
+            thr, shm, durs = threads[idx], shared[idx], durations[idx]
             for sm in scan:
-                if st.dispatch_complete:
+                if next_block[idx] >= n_blocks[idx]:
                     break
-                fit_t = threads_free[sm] // st.threads
+                fit_t = threads_free[sm] // thr
                 fit_b = blocks_free[sm]
-                fit_s = (shared_free[sm] // st.shared) if st.shared > 0 else fit_b
+                fit_s = (shared_free[sm] // shm) if shm > 0 else fit_b
                 n_fit = min(fit_t, fit_b, fit_s,
-                            st.n_blocks - st.next_block)
+                            n_blocks[idx] - next_block[idx])
                 if n_fit <= 0:
                     continue
-                threads_free[sm] -= n_fit * st.threads
-                shared_free[sm] -= n_fit * st.shared
+                threads_free[sm] -= n_fit * thr
+                shared_free[sm] -= n_fit * shm
                 blocks_free[sm] -= n_fit
-                if st.first_start is None:
-                    st.first_start = now
-                for b in range(st.next_block, st.next_block + n_fit):
+                if first_start[idx] is None:
+                    first_start[idx] = now
+                for b in range(next_block[idx], next_block[idx] + n_fit):
                     heapq.heappush(
-                        heap,
-                        (now + float(st.durations[b]), seq, 1, st.index, sm,
-                         st.threads))
+                        heap, (now + float(durs[b]), seq, 1, idx, sm, thr))
                     seq += 1
-                st.next_block += n_fit
-            if not st.dispatch_complete:
+                next_block[idx] += n_fit
+            if next_block[idx] < n_blocks[idx]:
                 still_ready.append(idx)
         ready[:] = still_ready
 
@@ -228,29 +271,26 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
     while heap:
         n_events += 1
         if n_events > MAX_EVENTS:
-            raise SchedulerError("event budget exceeded; runaway simulation")
-        now, _, kind, k_idx, sm, threads = heapq.heappop(heap)
-        st = states[k_idx]
+            raise SchedulerError(_BUDGET_MSG)
+        now, _, kind, k_idx, sm, thr = heapq.heappop(heap)
         if kind == 0:
-            st.ready_at = now
-            insort(ready, st.index)
+            ready_at[k_idx] = now
+            insort(ready, k_idx)
             new_ready = True
         else:
-            threads_free[sm] += threads
-            shared_free[sm] += st.shared
+            threads_free[sm] += thr
+            shared_free[sm] += shared[k_idx]
             blocks_free[sm] += 1
             freed_sms.add(sm)
-            st.done += 1
-            if st.done == st.n_blocks:
-                st.finish = now
+            done[k_idx] += 1
+            if done[k_idx] == n_blocks[k_idx]:
+                finish[k_idx] = now
                 finished += 1
                 # wake stream successors
-                for succ in states:
-                    if predecessor[succ.index] == st.index:
-                        issue_time = start_time + (succ.index + 1) * issue_gap
-                        heapq.heappush(heap,
-                                       (max(now, issue_time), seq, 0,
-                                        succ.index, -1, 0))
+                for succ in range(n):
+                    if predecessor[succ] == k_idx:
+                        heapq.heappush(heap, (max(now, issue[succ]), seq, 0,
+                                              succ, -1, 0))
                         seq += 1
         # coalesce simultaneous events before dispatching
         if heap and heap[0][0] == now:
@@ -260,23 +300,6 @@ def simulate_phase(kernels: list[KernelLaunch], device: DeviceSpec,
         freed_sms.clear()
         new_ready = False
 
-    if finished != len(states):
-        raise SchedulerError(
-            f"{len(states) - finished} kernels never completed "
-            "(dispatch deadlock)")
-
-    records = []
-    for st in states:
-        records.append(KernelRecord(
-            name=st.kernel.name,
-            phase=st.kernel.phase,
-            stream=st.kernel.stream if use_streams else 0,
-            start=float(st.first_start if st.first_start is not None else st.ready_at),
-            end=float(st.finish),
-            n_blocks=st.n_blocks,
-            block_seconds=float(st.durations.sum()),
-        ))
-    end = max(r.end for r in records)
-    if key is not None:
-        _memo.put(key, (end, tuple(dataclasses.replace(r) for r in records)))
-    return PhaseSchedule(start=start_time, end=end, records=records)
+    if finished != n:
+        raise SchedulerError(_deadlock_msg(n - finished))
+    return first_start, ready_at, finish

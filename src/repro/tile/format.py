@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import perf
 from repro.errors import SparseFormatError
+from repro.sparse import native
 from repro.sparse.csr import CSRMatrix
 from repro.types import INDEX_DTYPE, Precision
 
@@ -130,10 +132,30 @@ class TiledCSR:
 
     @classmethod
     def from_csr(cls, A: CSRMatrix, tile: int = DEFAULT_TILE) -> "TiledCSR":
-        """Tile a CSR matrix (lossless; entries sorted row-major per tile)."""
+        """Tile a CSR matrix (lossless; entries sorted row-major per tile).
+
+        Band by band in the native kernel (:mod:`repro.sparse.native`)
+        when it is built and the vectorized core is on; otherwise, and
+        for a malformed structure, by one global ``lexsort``
+        (:meth:`_from_csr_numpy`, the oracle the kernel is tested
+        against).  Both give equal arrays of equal dtypes.
+        """
         if not 2 <= tile <= MAX_TILE:
             raise SparseFormatError(
                 f"tile size {tile} outside [2, {MAX_TILE}]")
+        m, n = A.shape
+        tile_rows = max(1, -(-m // tile))
+        tile_cols = max(1, -(-n // tile))
+        if not perf.scalar_core_enabled():
+            arrays = native.tile_csr(A, tile, tile_rows, tile_cols)
+            if arrays is not None:
+                *index, order = arrays
+                return cls((m, n), tile, *index, A.val[order])
+        return cls._from_csr_numpy(A, tile)
+
+    @classmethod
+    def _from_csr_numpy(cls, A: CSRMatrix, tile: int) -> "TiledCSR":
+        """:meth:`from_csr` by one stable ``lexsort`` of every entry."""
         m, n = A.shape
         tile_rows = max(1, -(-m // tile))
         tile_cols = max(1, -(-n // tile))

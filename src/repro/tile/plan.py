@@ -172,10 +172,11 @@ def acc_factors(acc_class: np.ndarray, tile_nnz: np.ndarray,
 
 def tile_stats(A: CSRMatrix, B: CSRMatrix, C: CSRMatrix,
                row_products: np.ndarray, params: TileParams) -> TileStats:
-    """Tile all three matrices and derive the per-tile-row work arrays."""
+    """Tile all three matrices (``B`` once when it is ``A``) and derive
+    the per-tile-row work arrays."""
     tile = tile_size_for(params)
     ta = TiledCSR.from_csr(A, tile)
-    tb = TiledCSR.from_csr(B, tile)
+    tb = ta if B is A else TiledCSR.from_csr(B, tile)
     tc = TiledCSR.from_csr(C, tile)
 
     b_cnt = tb.tiles_per_row().astype(np.float64)

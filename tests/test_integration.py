@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.baselines.registry import ALGORITHMS
 from repro.bench.datasets import get_dataset
 from repro.sparse import generators, spgemm_reference
 from repro.sparse.csr import CSRMatrix
@@ -134,6 +135,18 @@ class TestEdgeCases:
         empty product with a finite modeled time."""
         A, B = (CSRMatrix.empty(s) for s in shapes)
         res = repro.multiply(A, B, **options)
+        assert res.matrix.shape == (shapes[0][0], shapes[1][1])
+        assert res.matrix.nnz == 0
+        assert np.isfinite(res.report.total_seconds)
+
+    @pytest.mark.parametrize("shapes", [((0, 0), (0, 0)), ((0, 5), (5, 3))])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_zero_row_operands_every_algorithm(self, shapes, algorithm):
+        """Every registered algorithm, the CPU ones and the ungrouped
+        baselines included, launches an idle block for a zero-row grid
+        and returns the empty product."""
+        A, B = (CSRMatrix.empty(s) for s in shapes)
+        res = repro.multiply(A, B, algorithm=algorithm)
         assert res.matrix.shape == (shapes[0][0], shapes[1][1])
         assert res.matrix.nnz == 0
         assert np.isfinite(res.report.total_seconds)

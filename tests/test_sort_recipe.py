@@ -8,6 +8,7 @@ formulation otherwise; both must build identical arrays.
 
 from __future__ import annotations
 
+import ctypes
 import subprocess
 import sys
 
@@ -30,11 +31,20 @@ needs_kernel = pytest.mark.skipif(native.compiler() is None,
 
 
 def test_kernel_loads_when_a_compiler_exists():
-    """With a compiler on PATH the kernel must build and load, so a CI leg
-    cannot pass having checked only the numpy fallback."""
+    """With a compiler on PATH the library must build and load with every
+    kernel's entry point, so a CI leg cannot pass having checked only the
+    Python fallbacks."""
     if native.compiler() is None:
         pytest.skip("no C compiler on PATH")
-    assert native.kernel() is not None
+    dll = native.kernel()
+    assert dll is not None
+    assert sorted(native.ENTRY_POINTS) == ["recipe_count", "recipe_fill",
+                                           "schedule_phase", "tile_count",
+                                           "tile_fill"]
+    for name, argtypes in native.ENTRY_POINTS.items():
+        entry = getattr(dll, name)
+        assert entry.argtypes == argtypes, name
+        assert entry.restype is ctypes.c_int, name
 
 
 def test_import_builds_nothing():
