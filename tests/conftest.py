@@ -5,9 +5,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.registry import ALGORITHMS
 from repro.gpu.device import P100
 from repro.sparse import generators
 from repro.sparse.csr import CSRMatrix
+
+#: Every wrapper composition, spelled with :class:`repro.SpGEMMOptions`
+#: fields and keyed by a short name: the engine, the estimated symbolic
+#: phase, the tuner, the tiled algorithm, a uniform and a heterogeneous
+#: device pool and the resilience ladder.  Each must match plain
+#: ``proposal`` bit for bit.
+COMPOSITIONS = {
+    "proposal": {},
+    "engine": {"engine": True},
+    "estimate": {"symbolic": "estimate"},
+    "tune": {"tune": True},
+    "tile": {"algorithm": "tile"},
+    "dist": {"devices": 2},
+    "resilient": {"resilient": True},
+    "dist-mixed": {"devices": ("P100", "K40")},
+}
+
+#: Every registry algorithm plus every composition: the inputs of the
+#: suites that must hold for everything a caller can run.
+RUNS = {**{name: {"algorithm": name} for name in ALGORITHMS},
+        **COMPOSITIONS}
 
 
 def pytest_addoption(parser):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.baselines.registry import ALGORITHMS
 from repro.bench.datasets import get_dataset
 from repro.sparse import generators, spgemm_reference
 from repro.sparse.csr import CSRMatrix
+from tests.conftest import COMPOSITIONS, RUNS
 
 ALGS = ("cusp", "cusparse", "bhsparse", "proposal")
 
@@ -126,10 +126,9 @@ class TestEdgeCases:
         np.testing.assert_allclose(got.to_dense(), dense @ dense)
 
     @pytest.mark.parametrize("shapes", [((0, 0), (0, 0)), ((0, 5), (5, 3))])
-    @pytest.mark.parametrize("options", [
-        {}, {"engine": True}, {"symbolic": "estimate"}, {"tune": True},
-        {"algorithm": "tile"}, {"devices": 2}, {"resilient": True},
-    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
+    @pytest.mark.parametrize("options", list(COMPOSITIONS.values()),
+                             ids=lambda o: ",".join(f"{k}={v}" for k, v
+                                                    in o.items()) or "default")
     def test_zero_row_operands(self, shapes, options):
         """A zero-row grid still launches: every composition returns the
         empty product with a finite modeled time."""
@@ -140,13 +139,13 @@ class TestEdgeCases:
         assert np.isfinite(res.report.total_seconds)
 
     @pytest.mark.parametrize("shapes", [((0, 0), (0, 0)), ((0, 5), (5, 3))])
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(RUNS))
     def test_zero_row_operands_every_algorithm(self, shapes, algorithm):
         """Every registered algorithm, the CPU ones and the ungrouped
-        baselines included, launches an idle block for a zero-row grid
-        and returns the empty product."""
+        baselines included, and every composition launches an idle block
+        for a zero-row grid and returns the empty product."""
         A, B = (CSRMatrix.empty(s) for s in shapes)
-        res = repro.multiply(A, B, algorithm=algorithm)
+        res = repro.multiply(A, B, **RUNS[algorithm])
         assert res.matrix.shape == (shapes[0][0], shapes[1][1])
         assert res.matrix.nnz == 0
         assert np.isfinite(res.report.total_seconds)

@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.baselines.registry import ALGORITHMS
 from repro.gpu.faults import FaultPlan
 from repro.obs import events as OBS
 from repro.obs.events import Event, EventBus, is_nondecreasing
@@ -29,6 +28,7 @@ from repro.obs.metrics import (MetricsRegistry, check_conservation,
                                metrics_from_report)
 from repro.sparse import generators
 
+from tests.conftest import RUNS
 from tests.test_properties import square_csr
 
 SETTINGS = settings(max_examples=15, deadline=None,
@@ -158,15 +158,15 @@ class TestReportMetrics:
         plan = FaultPlan()
         plan.fail_alloc(name="C")     # one-shot: the retry rung succeeds
         A = generators.power_law(200, 6.0, 150, rng=3)
-        result = repro.multiply(A, A, algorithm="resilient", faults=plan)
+        result = repro.multiply(A, A, resilient=True, faults=plan)
         m = metrics_from_report(result.report)
         assert m.total("resilience_attempts_total", ok="False") == 1
         assert m.total("resilience_attempts_total", ok="True") == 1
 
     def test_resilience_attempts_metric(self):
         A = generators.power_law(200, 6.0, 80, rng=3)
-        result = repro.multiply(A, A, algorithm="resilient",
-                              memory_budget=1 << 16)
+        result = repro.multiply(A, A, resilient=True,
+                                memory_budget=1 << 16)
         m = metrics_from_report(result.report)
         assert m.value("resilience_attempts_total", algorithm="proposal",
                        strategy="panels", ok="True") == 1
@@ -228,10 +228,9 @@ class TestConservationProperties:
     """The hypothesis suite: conservation for every algorithm."""
 
     @SETTINGS
-    @given(square_csr(max_dim=16, max_nnz=50),
-           st.sampled_from(sorted(ALGORITHMS)))
+    @given(square_csr(max_dim=16, max_nnz=50), st.sampled_from(sorted(RUNS)))
     def test_conservation_all_algorithms(self, A, algo):
-        result = repro.multiply(A, A, algorithm=algo)
+        result = repro.multiply(A, A, **RUNS[algo])
         check_conservation(result.report)
 
     @SETTINGS
@@ -259,7 +258,7 @@ class TestConservationProperties:
 
     def test_conservation_under_panel_chunking(self):
         A = generators.power_law(200, 6.0, 80, rng=3)
-        result = repro.multiply(A, A, algorithm="resilient",
-                              memory_budget=1 << 16)
+        result = repro.multiply(A, A, resilient=True,
+                                memory_budget=1 << 16)
         assert result.report.algorithm.endswith("panels")
         check_conservation(result.report)

@@ -10,7 +10,8 @@ original per-row scalar paths, and this suite pins the two cores to
 * identical modeled seconds and phase breakdowns, and
 * identical observability streams (the canonical trace-summary text),
 
-across every registered algorithm.  The fast subset always runs; the
+across every registered algorithm and every wrapper composition
+(``tests.conftest.RUNS``).  The fast subset always runs; the
 full corpus sweep is marked ``corpus`` like the differential oracle.
 
 The property half (Hypothesis) checks the batched primitives against
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro import perf
-from repro.baselines.registry import ALGORITHMS
 from repro.core.grouping import assign_gids, group_rows
 from repro.core.hashtable import (HashTable, simulate_insertions,
                                   simulate_insertions_rows)
@@ -37,11 +37,12 @@ from repro.gpu.device import P100
 from repro.obs.export import trace_summary
 from repro.sparse import generators
 from repro.sparse.csr import CSRMatrix
+from tests.conftest import RUNS
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-ALL_ALGOS = sorted(ALGORITHMS)
+ALL_RUNS = sorted(RUNS)
 
 
 def _empty_rows(rng) -> CSRMatrix:
@@ -78,7 +79,7 @@ def _run(algo: str, A: CSRMatrix, monkeypatch, *, scalar: bool):
     perf.clear_fast_caches()
     try:
         return repro.multiply(A, A,
-                              options=repro.SpGEMMOptions(algorithm=algo))
+                              options=repro.SpGEMMOptions(**RUNS[algo]))
     finally:
         monkeypatch.delenv("REPRO_SCALAR_CORE", raising=False)
         perf.clear_fast_caches()
@@ -102,14 +103,14 @@ def _assert_equivalent(algo: str, A: CSRMatrix, monkeypatch) -> None:
     assert trace_summary(fast.report) == trace_summary(slow.report), algo
 
 
-@pytest.mark.parametrize("algo", ALL_ALGOS)
+@pytest.mark.parametrize("algo", ALL_RUNS)
 @pytest.mark.parametrize("name", FAST)
 def test_dual_path_fast(algo, name, rng, monkeypatch):
     _assert_equivalent(algo, CORPUS[name](rng), monkeypatch)
 
 
 @pytest.mark.corpus
-@pytest.mark.parametrize("algo", ALL_ALGOS)
+@pytest.mark.parametrize("algo", ALL_RUNS)
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_dual_path_corpus(algo, name, rng, monkeypatch):
     _assert_equivalent(algo, CORPUS[name](rng), monkeypatch)
