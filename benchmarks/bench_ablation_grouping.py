@@ -12,17 +12,17 @@ instance scale, versus the larger gains the paper observes on hardware.
 Recorded as a known model limitation in EXPERIMENTS.md.
 """
 
+import repro
 from repro.bench.datasets import HIGH_THROUGHPUT, get_dataset
-from repro.core.spgemm import hash_spgemm
 
 from benchmarks.conftest import run_once
 
 
 def _compare(name: str):
     A = get_dataset(name).matrix()
-    grouped = hash_spgemm(A, A, precision="single", matrix_name=name)
-    uniform = hash_spgemm(A, A, precision="single", matrix_name=name,
-                          uniform_tb=True)
+    grouped = repro.multiply(A, A, precision="single", matrix_name=name)
+    uniform = repro.multiply(A, A, precision="single", matrix_name=name,
+                             algo_options={"uniform_tb": True})
     return grouped, uniform
 
 

@@ -6,8 +6,8 @@ best performance."  Reproduced by sweeping ``pwarp_width`` on the two
 lowest-degree matrices.
 """
 
+import repro
 from repro.bench.datasets import get_dataset
-from repro.core.spgemm import hash_spgemm
 
 from benchmarks.conftest import run_once
 
@@ -20,8 +20,9 @@ def _sweep():
     for name in MATRICES:
         A = get_dataset(name).matrix()
         out[name] = {
-            w: hash_spgemm(A, A, precision="single", matrix_name=name,
-                           pwarp_width=w).report.total_seconds
+            w: repro.multiply(A, A, precision="single", matrix_name=name,
+                              algo_options={"pwarp_width": w}
+                              ).report.total_seconds
             for w in WIDTHS
         }
     return out

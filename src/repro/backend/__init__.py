@@ -15,7 +15,7 @@ Third-party backends register the same way the built-ins do: subclass
 (preset names must not collide -- the registry enforces it).
 """
 
-from repro.backend.base import NEUTRAL_ALGORITHMS, Backend
+from repro.backend.base import Backend
 from repro.backend.cpu_backend import CPU_BACKEND, CPUBackend
 from repro.backend.gpu_backend import GPU_BACKEND, GPUBackend
 from repro.backend.registry import (
@@ -36,7 +36,6 @@ __all__ = [
     "CPUBackend",
     "GPU_BACKEND",
     "CPU_BACKEND",
-    "NEUTRAL_ALGORITHMS",
     "backend_for_name",
     "backend_for_spec",
     "backends",

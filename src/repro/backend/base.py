@@ -31,15 +31,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.gpu.faults import FaultPlan
-    from repro.gpu.kernel import KernelLaunch
     from repro.gpu.scheduler import PhaseSchedule
     from repro.tune.sketch import MatrixSketch
     from repro.types import Precision
-
-#: Algorithm names that belong to no backend (wrappers composing an
-#: inner algorithm); translation leaves them untouched.
-NEUTRAL_ALGORITHMS = ("resilient", "engine", "dist", "tune")
 
 
 @dataclass(frozen=True)
@@ -110,21 +104,6 @@ class Backend(abc.ABC):
     #: precision) -> float`` (the tuner's sketch-scoring primitive).
     kernel_duration_alone: Callable[..., float]
 
-    def check_faults(self, kernels: "list[KernelLaunch]",
-                     faults: "FaultPlan | None") -> None:
-        """Raise for any injected kernel fault (both schedulers already
-        do this first; exposed for analytic callers)."""
-        if faults is None:
-            return
-        from repro.errors import HashTableError
-
-        for k in kernels:
-            event = faults.check_kernel(k.name)
-            if event is not None:
-                raise HashTableError(
-                    f"hash table full in kernel {k.name!r} "
-                    f"(injected: {event.rule})")
-
     # -- heterogeneous pools --------------------------------------------------
 
     def work_weight(self, spec: Any) -> float:
@@ -140,13 +119,13 @@ class Backend(abc.ABC):
     def native_algorithm(self, name: str) -> str:
         """Translate a registry algorithm name onto this architecture.
 
-        Native names and wrapper names pass through; a name owned by a
-        *different* backend maps to :attr:`default_algorithm` (so a
-        mixed pool asked for 'proposal' runs 'hash-cpu' on its CPU
-        slots).  Unknown names also pass through -- the registry is the
-        one that raises :class:`~repro.errors.UnknownAlgorithmError`.
+        Native names pass through; a name owned by a *different* backend
+        maps to :attr:`default_algorithm` (so a mixed pool asked for
+        'proposal' runs 'hash-cpu' on its CPU slots).  Unknown names
+        also pass through -- the registry is the one that raises
+        :class:`~repro.errors.UnknownAlgorithmError`.
         """
-        if name in self.algorithms or name in NEUTRAL_ALGORITHMS:
+        if name in self.algorithms:
             return name
         from repro.backend.registry import backends
 

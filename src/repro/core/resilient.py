@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
+from repro.baselines.registry import create
 from repro.core.count_products import count_products
 from repro.errors import (DeviceLostError, DeviceMemoryError, HashTableError,
                           RemovedAPIError)
@@ -201,8 +202,6 @@ class ResilientSpGEMM(SpGEMMAlgorithm):
             else device.with_memory(budget)
 
     def _make(self, name: str, first: bool) -> SpGEMMAlgorithm:
-        from repro.baselines.registry import create  # avoid import cycle
-
         return create(name, **(self.options if first else {}))
 
     def apply_param_overrides(self, overrides) -> bool:

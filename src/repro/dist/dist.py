@@ -1,7 +1,7 @@
 """The distributed SpGEMM driver: scatter-compute-gather over a pool.
 
-:class:`DistSpGEMM` is a registry algorithm (name ``'dist'``) that
-executes ``C = A @ B`` across a :class:`~repro.dist.pool.DevicePool`:
+:class:`DistSpGEMM` is the wrapper behind ``SpGEMMOptions(devices=...)``:
+it executes ``C = A @ B`` across a :class:`~repro.dist.pool.DevicePool`:
 
 1. **partition** -- A is cut into one contiguous row panel per active
    device, balanced by modeled per-row work and the devices' bandwidth

@@ -1,9 +1,9 @@
 """The SpGEMM engine: plan-cached, batch-capable front of the algorithms.
 
-:class:`SpGEMMEngine` is itself an :class:`~repro.base.SpGEMMAlgorithm`
-(registry name ``'engine'``), so it drops in anywhere an algorithm does:
-``repro.multiply(A, B, algorithm='engine')``, the bench runner, the apps.
-It fronts an inner algorithm (default: the paper's proposal) with a
+:class:`SpGEMMEngine` is itself an :class:`~repro.base.SpGEMMAlgorithm`,
+so it drops in anywhere an algorithm does:
+``repro.multiply(A, B, engine=True)``, the bench runner, the apps.  It
+fronts an inner algorithm (default: the paper's proposal) with a
 pattern-keyed :class:`~repro.engine.cache.PlanCache`:
 
 * **miss** -- run the inner algorithm cold, capture its symbolic outcome
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
+from repro.baselines.registry import create
 from repro.engine.cache import DEFAULT_BUDGET_BYTES, PlanCache
 from repro.engine.plan import PlanCapture, make_key
 from repro.errors import PlanMismatchError, ReproError
@@ -84,8 +85,6 @@ class SpGEMMEngine(SpGEMMAlgorithm):
         if isinstance(algorithm, SpGEMMAlgorithm):
             self.inner = algorithm
         else:
-            from repro.baselines.registry import create
-
             self.inner = create(algorithm, **algo_options)
         self.cache = PlanCache(cache_budget_bytes)
         self.max_workers = max(1, int(max_workers))

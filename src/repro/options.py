@@ -11,12 +11,14 @@ module is the single place those choices live now:
 * :func:`runner_for` -- compiles an options object into the matching
   runner chain (dist / resilient / engine / tuner / plain algorithm);
 * :func:`multiply` -- the one-call facade:
-  ``repro.multiply(A, B, options=SpGEMMOptions(algorithm="tune"))``.
+  ``repro.multiply(A, B, options=SpGEMMOptions(tune=True))``.
 
-The legacy entry points (``repro.spgemm``, ``hash_spgemm``,
-``resilient_spgemm``) are gone: two majors after their deprecation they
-now raise :class:`~repro.errors.RemovedAPIError` with a migration
-message pointing here.  Unknown option-field names -- a keyword typo in
+``algorithm`` names a compute algorithm only; every wrapper composes
+from its own field.  The legacy entry points (``repro.spgemm``,
+``hash_spgemm``, ``resilient_spgemm``) and the wrapper names once
+accepted as ``algorithm`` (:data:`_RETIRED_ALGORITHMS`) are gone: they
+raise :class:`~repro.errors.RemovedAPIError` with a migration message
+pointing here.  Unknown option-field names -- a keyword typo in
 :func:`multiply` or :meth:`SpGEMMOptions.evolve` -- raise a typed
 :class:`~repro.errors.OptionsError` listing the valid fields and the
 closest match.
@@ -31,19 +33,33 @@ from typing import Any
 
 from repro.backend import backends, resolve_device
 from repro.base import SpGEMMAlgorithm, SpGEMMResult
-from repro.errors import OptionsError
+from repro.baselines.registry import create
+from repro.core.resilient import ResilientSpGEMM
+from repro.dist import DevicePool, DistSpGEMM
+from repro.engine import SpGEMMEngine
+from repro.errors import OptionsError, RemovedAPIError
 from repro.gpu.device import P100, DeviceSpec
 from repro.gpu.faults import FaultPlan
 from repro.sparse.csr import CSRMatrix
+from repro.tune.store import TuningStore
+from repro.tune.tuned import TunedSpGEMM
 from repro.types import Precision
 
 #: Valid values of :attr:`SpGEMMOptions.symbolic`.
 SYMBOLIC_MODES = ("exact", "estimate")
 
-#: Algorithm names that can host an estimated symbolic phase: the
-#: proposal itself plus the infrastructure wrappers that forward
-#: ``algo_options`` to it.  The neutral baselines have no estimator.
-_ESTIMATE_ALGORITHMS = ("proposal", "engine", "tune", "resilient", "dist")
+#: Algorithm names that can host an estimated symbolic phase.  The
+#: baselines have no estimator.
+_ESTIMATE_ALGORITHMS = ("proposal",)
+
+#: Wrapper names once accepted as ``algorithm``, each with the field
+#: that composes the wrapper now.
+_RETIRED_ALGORITHMS = {
+    "resilient": "resilient=True",
+    "engine": "engine=True",
+    "dist": "devices=<count or preset names>",
+    "tune": "tune=True",
+}
 
 
 def _check_option_names(names: Iterable[str], *, context: str) -> None:
@@ -70,7 +86,9 @@ class SpGEMMOptions:
     ``spgemm(A, B)`` exactly):
 
     algorithm / precision / device
-        The registry algorithm name, 'single' | 'double' (or a
+        The registry's compute-algorithm name (a retired wrapper name
+        raises :class:`~repro.errors.RemovedAPIError` naming its field),
+        'single' | 'double' (or a
         :class:`~repro.types.Precision`) and the device to simulate: a
         :class:`~repro.gpu.device.DeviceSpec`, a
         :class:`~repro.cpu.device.CPUSpec`, or any registered preset
@@ -99,7 +117,7 @@ class SpGEMMOptions:
         bound-violation recovery on global tables); ``'exact'`` -- the
         default -- keeps the paper's count kernels.  Results are
         bit-identical either way; only modeled time and memory change.
-        Only the proposal and the wrappers around it accept it
+        Only the proposal accepts it, under any wrapper
         (:data:`_ESTIMATE_ALGORITHMS`); the sampling knobs travel via
         ``algo_options`` (``estimate_samples`` / ``estimate_margin`` /
         ``estimate_seed``).
@@ -132,6 +150,10 @@ class SpGEMMOptions:
     algo_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        retired = _RETIRED_ALGORITHMS.get(self.algorithm)
+        if retired is not None:
+            raise RemovedAPIError(f"algorithm={self.algorithm!r}",
+                                  f"SpGEMMOptions({retired})")
         # normalize early so equality/compile behave predictably
         object.__setattr__(self, "precision", Precision.parse(self.precision))
         object.__setattr__(self, "device", resolve_device(self.device))
@@ -156,10 +178,6 @@ class SpGEMMOptions:
         """
         _check_option_names(changes, context="option")
         return replace(self, **changes)
-
-    def with_options(self, **changes: Any) -> "SpGEMMOptions":
-        """Alias of :meth:`evolve` (the pre-redesign spelling)."""
-        return self.evolve(**changes)
 
     def describe(self) -> str:
         """Compact ``field=value`` form of the non-default fields."""
@@ -219,7 +237,7 @@ def _algo_options(o: SpGEMMOptions) -> dict:
     A copy of ``algo_options`` with the facade's ``symbolic`` choice
     folded in (explicit ``algo_options['symbolic']`` wins).  An
     estimated symbolic phase on an algorithm without an estimator -- a
-    neutral baseline or a CPU algorithm -- raises
+    baseline or a CPU algorithm -- raises
     :class:`~repro.errors.OptionsError` instead of a constructor
     ``TypeError`` deep in the chain.
     """
@@ -237,82 +255,45 @@ def _algo_options(o: SpGEMMOptions) -> dict:
     return opts
 
 
-def _resilient_options(o: SpGEMMOptions, algo_opts: dict) -> dict:
-    """Constructor kwargs for the resilience ladder under ``o``."""
-    opts = dict(algo_opts)
-    if o.algorithm not in ("resilient",):
-        # keep the chosen algorithm first in the fallback chain
-        opts.setdefault("algorithms", _fallback_chain(o.algorithm))
-    opts.setdefault("max_panels", o.max_panels)
-    if o.memory_budget is not None:
-        opts.setdefault("memory_budget", int(o.memory_budget))
-    return opts
-
-
 def runner_for(options: SpGEMMOptions) -> SpGEMMAlgorithm:
     """Compile an options object into its runner chain.
 
-    Composition order (outermost first): distribution > tuning >
-    resilience > engine > algorithm.  The distributed driver owns its
-    own per-device tuning and engines, so ``devices`` short-circuits the
-    rest of the chain.  Unknown algorithm names raise
-    :class:`~repro.errors.UnknownAlgorithmError`.
+    One straight chain: the algorithm, then the resilience ladder, the
+    engine and the tuner, each wrapping the one before.  ``devices``
+    hands the whole request to the distributed driver, which composes
+    its own per-device engines and tuning.  Unknown algorithm names
+    raise :class:`~repro.errors.UnknownAlgorithmError`.
     """
-    from repro.baselines.registry import create
-    from repro.dist import DevicePool, DistSpGEMM
-    from repro.engine import SpGEMMEngine
-    from repro.tune.store import TuningStore
-    from repro.tune.tuned import TunedSpGEMM
-
     o = options
     algo_opts = _algo_options(o)
-    # -- distributed: the driver composes engine + tuning itself --------
     if o.devices is not None:
         engine_on = True if o.engine is None else bool(o.engine)
-        # algorithm="dist" names the driver, not the per-device compute
-        inner = "proposal" if o.algorithm == "dist" else o.algorithm
-        dist_kw = dict(interconnect=o.interconnect, algorithm=inner,
+        dist_kw = dict(interconnect=o.interconnect, algorithm=o.algorithm,
                        engine=engine_on, tune=o.tune,
                        tune_store=o.tune_store, **algo_opts)
         if isinstance(o.devices, tuple):
-            pool = DevicePool.from_names(list(o.devices), algorithm=inner,
+            pool = DevicePool.from_names(list(o.devices),
+                                         algorithm=o.algorithm,
                                          engine=engine_on, **algo_opts)
             return DistSpGEMM(pool=pool, **dist_kw)
         return DistSpGEMM(n_devices=int(o.devices), **dist_kw)
-    if o.algorithm == "dist":
-        # legacy spelling: dist kwargs may live in algo_options, so the
-        # facade fields only fill the gaps
-        kw = dict(algo_opts)
-        kw.setdefault("interconnect", o.interconnect)
-        kw.setdefault("tune", o.tune)
-        kw.setdefault("tune_store", o.tune_store)
-        if o.engine is not None:
-            kw.setdefault("engine", bool(o.engine))
-        return create("dist", **kw)
 
-    # -- single device: resilience / engine / plain ----------------------
-    if o.resilient or o.memory_budget is not None or o.algorithm == "resilient":
-        runner: SpGEMMAlgorithm = create("resilient",
-                                         **_resilient_options(o, algo_opts))
-    elif o.algorithm == "engine":
-        kw = dict(algo_opts)
-        if o.cache_budget_bytes is not None:
-            kw.setdefault("cache_budget_bytes", o.cache_budget_bytes)
-        runner = SpGEMMEngine(**kw)
-    elif o.algorithm == "tune":
-        store = o.tune_store if isinstance(o.tune_store, TuningStore) else None
-        path = o.tune_store if isinstance(o.tune_store, str) else None
-        return TunedSpGEMM(engine=bool(o.engine), store=store,
-                           store_path=path, top_k=o.tune_top_k,
-                           **algo_opts)
+    runner: SpGEMMAlgorithm
+    if o.resilient or o.memory_budget is not None:
+        # the chosen algorithm leads the fallback chain; explicit
+        # ladder kwargs in algo_options win
+        runner = ResilientSpGEMM(**{
+            "algorithms": _fallback_chain(o.algorithm),
+            "max_panels": o.max_panels,
+            "memory_budget": (None if o.memory_budget is None
+                              else int(o.memory_budget)),
+            **algo_opts})
     else:
         runner = create(o.algorithm, **algo_opts)
-    if o.engine and not isinstance(runner, SpGEMMEngine):
-        kw = {}
-        if o.cache_budget_bytes is not None:
-            kw["cache_budget_bytes"] = o.cache_budget_bytes
+    if o.engine:
+        kw = ({} if o.cache_budget_bytes is None
+              else {"cache_budget_bytes": o.cache_budget_bytes})
         runner = SpGEMMEngine(runner, **kw)
-
     if o.tune:
         store = o.tune_store if isinstance(o.tune_store, TuningStore) else None
         path = o.tune_store if isinstance(o.tune_store, str) else None
@@ -329,7 +310,7 @@ def multiply(A: CSRMatrix, B: CSRMatrix,
 
     Pass a ready :class:`SpGEMMOptions`, or its fields directly::
 
-        repro.multiply(A, B, options=SpGEMMOptions(algorithm="tune"))
+        repro.multiply(A, B, options=SpGEMMOptions(tune=True))
         repro.multiply(A, B, algorithm="cusparse", precision="single")
 
     ``matrix_name`` labels reports and ``faults`` injects a

@@ -147,11 +147,6 @@ class CSRMatrix:
                    dense.shape, check=False)
 
     @classmethod
-    def from_arrays(cls, rpt, col, val, shape) -> "CSRMatrix":
-        """Construct with validation from plain sequences."""
-        return cls(np.asarray(rpt), np.asarray(col), np.asarray(val), shape)
-
-    @classmethod
     def empty(cls, shape: tuple[int, int],
               precision: Precision | str = Precision.DOUBLE) -> "CSRMatrix":
         """An all-zero matrix of the given shape."""

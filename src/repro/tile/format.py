@@ -31,6 +31,7 @@ from repro import perf
 from repro.errors import SparseFormatError
 from repro.sparse import native
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.validate import validate_csr
 from repro.types import INDEX_DTYPE, Precision
 
 #: Default tile edge (the paper-family sweet spot on Pascal-class SMs: a
@@ -135,10 +136,11 @@ class TiledCSR:
         """Tile a CSR matrix (lossless; entries sorted row-major per tile).
 
         Band by band in the native kernel (:mod:`repro.sparse.native`)
-        when it is built and the vectorized core is on; otherwise, and
-        for a malformed structure, by one global ``lexsort``
-        (:meth:`_from_csr_numpy`, the oracle the kernel is tested
-        against).  Both give equal arrays of equal dtypes.
+        when it is built and the vectorized core is on; otherwise by one
+        global ``lexsort`` (:meth:`_from_csr_numpy`, the oracle the
+        kernel is tested against).  Both give equal arrays of equal
+        dtypes.  A malformed structure (an unchecked ``A`` the kernel
+        declines) raises :class:`~repro.errors.SparseFormatError`.
         """
         if not 2 <= tile <= MAX_TILE:
             raise SparseFormatError(
@@ -151,6 +153,7 @@ class TiledCSR:
             if arrays is not None:
                 *index, order = arrays
                 return cls((m, n), tile, *index, A.val[order])
+        validate_csr(A)
         return cls._from_csr_numpy(A, tile)
 
     @classmethod

@@ -17,8 +17,8 @@ machinery as the objective:
   beats them);
 * :mod:`repro.tune.store` -- a persistent JSON store of tuned configs
   keyed by ``(device, precision, sketch digest)``;
-* :mod:`repro.tune.tuned` -- :class:`TunedSpGEMM`, the registry's
-  ``"tune"`` entry: a wrapper that tunes, injects the winning
+* :mod:`repro.tune.tuned` -- :class:`TunedSpGEMM`, the wrapper behind
+  ``SpGEMMOptions(tune=True)``: it tunes, injects the winning
   :class:`~repro.core.params.ParamOverrides` into the inner algorithm
   and annotates the run report with ``tune_*`` events.
 """

@@ -424,8 +424,8 @@ class TestObservability:
 class TestCLI:
     def test_multiply_dist(self, capsys):
         assert main(["multiply", "--generate", "stencil:400:4",
-                     "--algorithm", "dist", "--devices", "4",
-                     "--interconnect", "nvlink", "--dist-stats"]) == 0
+                     "--devices", "4", "--interconnect", "nvlink",
+                     "--dist-stats"]) == 0
         out = capsys.readouterr().out
         assert "dist" in out and "nvlink" in out
         assert "last partition" in out
@@ -435,17 +435,24 @@ class TestCLI:
 
     def test_multiply_heterogeneous_devices(self, capsys):
         assert main(["multiply", "--generate", "stencil:300:4",
-                     "--algorithm", "dist", "--devices", "P100,K40",
-                     "--dist-stats"]) == 0
+                     "--devices", "P100,K40", "--dist-stats"]) == 0
         out = capsys.readouterr().out
         assert "Tesla K40" in out
 
     def test_multiply_fail_device(self, capsys):
         assert main(["multiply", "--generate", "stencil:300:4",
-                     "--algorithm", "dist", "--devices", "3",
-                     "--fail-device", "dev1", "--dist-stats"]) == 0
+                     "--devices", "3", "--fail-device", "dev1",
+                     "--dist-stats"]) == 0
         out = capsys.readouterr().out
         assert "LOST" in out
+
+    def test_wrapper_names_are_not_algorithms(self, capsys):
+        # the pool composes from --devices alone
+        for command in ("multiply", "serve"):
+            with pytest.raises(SystemExit) as ei:
+                main([command, "--algorithm", "dist", "--devices", "2"])
+            assert ei.value.code == 2
+            assert "invalid choice: 'dist'" in capsys.readouterr().err
 
     def test_device_presets(self, capsys):
         for name in ("K40", "VEGA56"):

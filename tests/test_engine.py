@@ -284,9 +284,11 @@ class TestBatch:
 
 class TestIntegration:
     def test_registry_and_top_level_dispatch(self, A):
-        eng = repro.algorithms()["engine"]
-        assert eng is SpGEMMEngine
-        result = repro.multiply(A, A, algorithm="engine")
+        # the engine is a composition, not a registry algorithm
+        assert "engine" not in repro.algorithms()
+        assert isinstance(repro.runner_for(repro.SpGEMMOptions(engine=True)),
+                          SpGEMMEngine)
+        result = repro.multiply(A, A, engine=True)
         assert result.matrix.canonicalize().allclose(
             repro.multiply(A, A).matrix)
 

@@ -185,8 +185,8 @@ def test_resilient_sweep_recovers_every_site(mat, matrices, contexts):
     n_sites = create("proposal").multiply(A, A).report.malloc_count
 
     for idx in range(n_sites):
-        result = repro.multiply(A, A, algorithm="resilient", matrix_name=mat,
-                              faults=FaultPlan().fail_alloc(index=idx))
+        result = repro.multiply(A, A, resilient=True, matrix_name=mat,
+                                faults=FaultPlan().fail_alloc(index=idx))
         assert result.resilience.recovered
         assert result.resilience.injected_faults == 1
         assert result.matrix.allclose(ref)

@@ -1,11 +1,12 @@
 """The removed-entry-point lint: clean tree, and it actually bites.
 
 ``tools/check_deprecated.py`` is the CI step that keeps repo code on
-``repro.multiply`` now that the legacy shims raise ``RemovedAPIError``;
-this suite runs it against the real tree -- ``src/repro`` *and*
-``tests`` (must be clean) -- and against synthetic trees with
-violations (must flag exactly the calls, not the ``def`` lines, doc
-spellings or comments).
+``repro.multiply`` and the ``SpGEMMOptions`` fields now that the legacy
+shims and the wrapper algorithm names raise ``RemovedAPIError``; this
+suite runs it against the real tree -- ``src/repro``, ``tests``,
+``benchmarks`` and ``examples`` (must be clean) -- and against synthetic
+trees with violations (must flag exactly the uses, not the ``def``
+lines, doc spellings or comments).
 """
 
 from __future__ import annotations
@@ -43,6 +44,51 @@ def test_lint_scans_tests_tree(tmp_path):
     hits = check_deprecated.offending_lines(tmp_path)
     assert len(hits) == 1
     assert hits[0].startswith("tests/test_bad.py")
+
+
+def test_lint_scans_benchmarks_and_examples(tmp_path):
+    for tree, name in (("benchmarks", "bench_bad.py"),
+                       ("examples", "bad.py")):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / name).write_text("r = repro.spgemm(A, B)\n")
+    hits = check_deprecated.offending_lines(tmp_path)
+    assert [h.split(":")[0] for h in hits] == ["benchmarks/bench_bad.py",
+                                              "examples/bad.py"]
+
+
+def test_lint_flags_wrapper_algorithm_names(tmp_path):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "bad.py").write_text(
+        "r1 = multiply(A, B, algorithm=\"resilient\")\n"
+        "o = SpGEMMOptions(algorithm = 'engine')\n"
+        "r2 = multiply(A, B, algorithm=\"dist\", devices=2)\n"
+        "r3 = multiply(A, B, algorithm=\"tune\")\n"
+        "ok = multiply(A, B, algorithm=\"proposal\", engine=True)\n")
+    hits = check_deprecated.offending_lines(tmp_path)
+    assert [int(h.split(":")[1]) for h in hits] == [1, 2, 3, 4]
+
+
+def test_lint_flags_create_of_wrapper_names(tmp_path):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "bad.py").write_text(
+        "e = create(\"engine\")\n"
+        "t = registry.create('tune', top_k=2)\n"
+        "ok = create(\"proposal\", use_streams=False)\n")
+    hits = check_deprecated.offending_lines(tmp_path)
+    assert [int(h.split(":")[1]) for h in hits] == [1, 2]
+
+
+def test_lint_flags_with_options(tmp_path):
+    tdir = tmp_path / "tests"
+    tdir.mkdir()
+    (tdir / "test_bad.py").write_text(
+        "def test_create_with_options():\n"
+        "    o2 = o.with_options(precision='single')\n"
+        "    o3 = o.evolve(precision='single')\n")
+    hits = check_deprecated.offending_lines(tmp_path)
+    assert [int(h.split(":")[1]) for h in hits] == [2]
 
 
 def test_lint_skips_defs_docs_comments_and_allowlist(tmp_path):

@@ -13,7 +13,6 @@ dtype, every error.
 from __future__ import annotations
 
 import dataclasses
-import re
 import sys
 import threading
 
@@ -25,7 +24,7 @@ from hypothesis import strategies as st
 import repro
 from repro import perf
 from repro.backend.gpu_backend import GPUBackend
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, SparseFormatError
 from repro.gpu import scheduler
 from repro.gpu.device import P100
 from repro.gpu.kernel import BlockWorks, KernelLaunch
@@ -285,15 +284,18 @@ def test_tiling_kernel_single_precision(rng):
 @pytest.mark.parametrize("rpt, col", [([0, 1, 2], [0, 9]),
                                       ([0, 2, 1], [0, 1]),
                                       ([0, 1, 3], [0, 1])])
-def test_malformed_structure_takes_the_numpy_path(rpt, col):
-    """The kernel declines an unchecked malformed structure, so the
-    conversion fails exactly as the numpy path does."""
+def test_malformed_structure_takes_the_numpy_path(rpt, col, monkeypatch):
+    """The kernel declines an unchecked malformed structure (an
+    out-of-range column, a non-monotone ``rpt``, one that disagrees with
+    nnz); the conversion then raises a typed error, on the scalar core
+    too."""
     A = CSRMatrix(np.array(rpt), np.array(col), np.ones(len(col)), (2, 4),
                   check=False)
     assert native.tile_csr(A, 2, 1, 2) is None
-    with pytest.raises(Exception) as want:
-        TiledCSR._from_csr_numpy(A, 2)
-    with pytest.raises(want.type, match=re.escape(str(want.value))):
+    with pytest.raises(SparseFormatError):
+        TiledCSR.from_csr(A, 2)
+    monkeypatch.setenv("REPRO_SCALAR_CORE", "1")
+    with pytest.raises(SparseFormatError):
         TiledCSR.from_csr(A, 2)
 
 

@@ -295,8 +295,8 @@ class TestResilienceLadderProperties:
         from repro.sparse import generators
 
         A = generators.rmat(7, 4, rng=3)
-        r = repro.multiply(A, A, algorithm="resilient",
-                         faults=FaultPlan().fail_alloc(index=3))
+        r = repro.multiply(A, A, resilient=True,
+                           faults=FaultPlan().fail_alloc(index=3))
         rep = r.resilience
         assert rep is not None and rep.recovered
         per_algo: dict[str, list[int]] = {}

@@ -19,6 +19,7 @@ from repro import SpGEMMOptions, multiply
 from repro.sparse.reference import spgemm_reference
 from repro.core.params import ParamOverrides
 from repro.core.spgemm import HashSpGEMM
+from repro.engine import SpGEMMEngine
 from repro.gpu.device import DEVICE_PRESETS, K40, P100
 from repro.obs import events as E
 from repro.sparse import generators
@@ -200,15 +201,15 @@ def test_apply_param_overrides_protocol(A):
 
     assert HashSpGEMM().apply_param_overrides(ParamOverrides())
     assert not create("cusparse").apply_param_overrides(ParamOverrides())
-    eng = create("engine")
+    eng = SpGEMMEngine()
     assert eng.apply_param_overrides(ParamOverrides(t_max=1024))
     assert eng.inner.overrides.t_max == 1024
 
 
-# -- the registry wrapper ---------------------------------------------------
+# -- the tuning wrapper -----------------------------------------------------
 
 def test_tuned_algorithm_emits_events_and_matches(A):
-    res = multiply(A, A, options=SpGEMMOptions(algorithm="tune", device=K40))
+    res = multiply(A, A, options=SpGEMMOptions(tune=True, device=K40))
     kinds = [e.kind for e in res.report.events]
     assert E.TUNE_MISS in kinds and E.TUNE_SEARCH in kinds \
         and E.TUNE_APPLY in kinds
@@ -237,8 +238,9 @@ def test_tuned_untunable_inner_passes_through(A):
 def test_tune_cannot_wrap_itself():
     from repro.errors import AlgorithmError
 
-    with pytest.raises(AlgorithmError, match="tuner itself"):
-        TunedSpGEMM(algorithm="tune")
+    # the tuner's name is no registry algorithm, so it cannot wrap itself
+    with pytest.raises(AlgorithmError, match="unknown algorithm 'tune'"):
+        TunedSpGEMM(algorithm=TunedSpGEMM.name)
 
 
 # -- distributed per-device tuning ------------------------------------------

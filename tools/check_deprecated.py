@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Fail CI when repo code calls a removed SpGEMM entry point.
+"""Fail CI when repo code uses a removed SpGEMM spelling.
 
 The legacy entry points -- ``repro.spgemm()``, ``hash_spgemm()`` and
 ``resilient_spgemm()`` -- were :class:`DeprecationWarning` shims for two
-majors and now raise :class:`~repro.errors.RemovedAPIError`.  Nothing in
-``src/repro`` *or* ``tests`` may call them: all code goes through
-``repro.multiply`` and :class:`~repro.options.SpGEMMOptions`.  This is a
-line-level grep, not an import analysis, so it is fast, dependency-free
-and easy to reason about; the allowlist names the files that define the
-raising stubs or assert that they raise.
+majors and now raise :class:`~repro.errors.RemovedAPIError`.  So do the
+wrapper names once accepted as an algorithm (``algorithm="resilient"``,
+``"engine"``, ``"dist"``, ``"tune"`` and ``create()`` of them: each
+wrapper composes from its own :class:`~repro.options.SpGEMMOptions`
+field now), and ``SpGEMMOptions.with_options`` is gone in favour of
+``evolve``.  Nothing in ``src/repro``, ``tests``, ``benchmarks`` or
+``examples`` may use them: all code goes through ``repro.multiply`` and
+``SpGEMMOptions`` fields.  This is a line-level grep, not an import
+analysis, so it is fast, dependency-free and easy to reason about; the
+allowlist names the files that define the raising stubs or assert that
+they raise.
 
 Usage::
 
@@ -30,8 +35,16 @@ DEPRECATED_CALLS = re.compile(
     r"(?<!def )(?<![`.\w])"
     r"(repro\.spgemm|hash_spgemm|resilient_spgemm|spgemm)\s*\(")
 
+#: The retired wrapper spellings: a wrapper name passed as the
+#: algorithm or to the registry's ``create``, and the ``evolve`` alias.
+_WRAPPER = r"""["'](?:resilient|engine|dist|tune)["']"""
+RETIRED_SPELLINGS = re.compile(
+    rf"(?<![\w.])algorithm\s*=\s*{_WRAPPER}"
+    rf"|\bcreate\(\s*{_WRAPPER}"
+    r"|\.with_options\(")
+
 #: Trees scanned relative to the repo root.
-SCAN_TREES = (("src", "repro"), ("tests",))
+SCAN_TREES = (("src", "repro"), ("tests",), ("benchmarks",), ("examples",))
 
 #: Files that define the raising stubs, re-export them, or test that
 #: they raise (including this lint's own fixture strings).
@@ -60,7 +73,8 @@ def offending_lines(root: Path) -> list[str]:
             for lineno, line in enumerate(
                     path.read_text(encoding="utf-8").splitlines(), start=1):
                 code = line.split("#", 1)[0]
-                if DEPRECATED_CALLS.search(code):
+                if DEPRECATED_CALLS.search(code) \
+                        or RETIRED_SPELLINGS.search(code):
                     hits.append(f"{rel}:{lineno}: {line.strip()}")
     return hits
 
@@ -71,11 +85,12 @@ def main(argv: list[str]) -> int:
     for h in hits:
         print(f"DEPRECATED CALL: {h}", file=sys.stderr)
     if hits:
-        print(f"{len(hits)} call(s) to removed entry points; "
-              "use repro.multiply(A, B, options=SpGEMMOptions(...))",
+        print(f"{len(hits)} use(s) of removed spellings; use "
+              "repro.multiply(A, B, options=SpGEMMOptions(...)) with the "
+              "wrapper's own field and SpGEMMOptions.evolve",
               file=sys.stderr)
         return 1
-    print("no calls to removed entry points")
+    print("no uses of removed spellings")
     return 0
 
 
