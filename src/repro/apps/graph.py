@@ -119,10 +119,6 @@ class MCLResult:
     converged: bool          #: iterate stopped changing within ``tol``
     engine: object | None    #: the SpGEMMEngine used (None when disabled)
 
-    def cache_hit_rate(self) -> float:
-        """Plan-cache hit rate over the run (0.0 without an engine)."""
-        return self.engine.stats().hit_rate if self.engine else 0.0
-
 
 def markov_cluster(A: CSRMatrix, *, inflation: float = 2.0,
                    prune: float = 1e-4, tol: float = 1e-8,

@@ -83,11 +83,6 @@ class Partition:
     total_work: float
     max_row_work: float
 
-    @property
-    def n_rows(self) -> int:
-        """Rows covered by the partition."""
-        return self.panels[-1][1] if self.panels else 0
-
     def balance_bound(self, i: int) -> float:
         """The guaranteed ceiling of ``panel_work[i]`` (see module doc)."""
         share = self.weights[i] / sum(self.weights)

@@ -247,13 +247,15 @@ class OptionsError(ReproError):
 
 
 class RemovedAPIError(ReproError):
-    """A removed legacy entry point was called.
+    """A removed legacy entry point or spelling was used.
 
     The ``repro.spgemm`` / ``hash_spgemm`` / ``resilient_spgemm``
     functions were deprecation shims for two majors; they now raise this
-    error instead of running.  Carries the removed ``name`` and the
-    ``replacement`` to migrate to (always a :func:`repro.multiply`
-    spelling), rendered into the message.
+    error instead of running, as do the wrapper names once accepted as
+    ``SpGEMMOptions(algorithm=...)``.  Carries the removed ``name`` and
+    the ``replacement`` to migrate to (always a :func:`repro.multiply` or
+    :class:`~repro.options.SpGEMMOptions` spelling), rendered into the
+    message.
     """
 
     def __init__(self, name: str, replacement: str) -> None:
@@ -261,7 +263,7 @@ class RemovedAPIError(ReproError):
         self.replacement = str(replacement)
         super().__init__(
             f"{self.name} was removed; migrate to {self.replacement} "
-            f"(see the 'Options facade' section of README.md)")
+            f"(see the 'Public API' section of README.md)")
 
 
 class PlanMismatchError(AlgorithmError):

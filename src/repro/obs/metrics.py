@@ -18,7 +18,7 @@ property tests pin down:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.obs import events as E
 
@@ -170,9 +170,6 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "") -> MetricFamily:
         """Observation-collection family."""
         return self._family(name, HISTOGRAM, help)
-
-    def __iter__(self) -> Iterator[MetricFamily]:
-        return iter(self._families.values())
 
     def __contains__(self, name: str) -> bool:
         return name in self._families

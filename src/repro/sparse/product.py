@@ -57,11 +57,6 @@ class ProductResult(NamedTuple):
         """Total intermediate products."""
         return int(self.row_products.sum())
 
-    @property
-    def row_nnz(self) -> np.ndarray:
-        """Output nnz per row."""
-        return self.C.row_nnz()
-
 
 def array_digest(*arrays: np.ndarray) -> str:
     """BLAKE2b digest of array contents: dtype, shape and bytes of each.

@@ -385,14 +385,6 @@ class TileSketch:
     buckets: np.ndarray            #: (K, 7) int64
     density_hist: np.ndarray       #: (_HIST_BINS, 2) int64: tiles, nnz
 
-    @property
-    def n_products(self) -> int:
-        return int(self.buckets[:, 4].sum())
-
-    @property
-    def nnz_out(self) -> int:
-        return int(self.buckets[:, 6].sum())
-
     def digest(self) -> str:
         """Stable hex digest keying the tuning store (namespaced so the
         tile family never shares entries with the hash family)."""

@@ -46,10 +46,6 @@ class MatrixSketch:
     def n_products(self) -> int:
         return int(self.buckets[:, 2].sum())
 
-    @property
-    def nnz_out(self) -> int:
-        return int(self.buckets[:, 3].sum())
-
     def digest(self) -> str:
         """Stable hex digest keying the tuning store.
 
